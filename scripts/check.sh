@@ -172,8 +172,8 @@ fi
 # (scripts/bench_compare.py diffs two emission runs and fails on >10%
 # regressions). bench_log_throughput is filtered to one cheap leg;
 # bench_parallel_produce and bench_insert_sweep run --quick (the latter's
-# 5 points include the staging off/ring pair): the gate checks emission,
-# not trends.
+# 3 points: the baseline and the every_batch / group durability pair): the
+# gate checks emission, not trends.
 note "bench emission (pipeline_latency, log_throughput, parallel_produce, insert_sweep)"
 if cmake -B build-bench -S . -DCMAKE_BUILD_TYPE=Release >/dev/null \
    && cmake --build build-bench -j "${JOBS}" --target bench_pipeline_latency \

@@ -342,8 +342,8 @@ Status Broker::BecomeLeader(const TopicPartition& tp, const PartitionState& stat
   // restarted broker recovering from disk, or a follower just promoted —
   // must rebuild it, or every mid-stream idempotent producer is permanently
   // fenced with "out-of-order producer sequence". An incumbent leader keeps
-  // its in-memory map: it is a superset of the log under ring staging
-  // (staged-not-yet-drained batches are invisible to Read).
+  // its in-memory map: every append it accepted already updated it, so a
+  // rebuild from the log would only repeat that work.
   if (replica.producer_last_seq.empty()) {
     LIQUID_RETURN_NOT_OK(RebuildProducerStateLocked(&replica));
   }
@@ -598,7 +598,6 @@ Result<ProduceResponse> Broker::Produce(const TopicPartition& tp,
   int64_t leo = 0;
   int64_t leader_hw = 0;
   bool group_sync = false;
-  bool ring_staged = false;
   storage::EncodedBatch batch;
   {
     ReaderMutexLock map_lock(&map_mu_);
@@ -645,22 +644,18 @@ Result<ProduceResponse> Broker::Produce(const TopicPartition& tp,
     }
     for (auto& record : records) record.leader_epoch = replica->leader_epoch;
     // Encode-once: the batch buffer produced here is the exact bytes on our
-    // disk, and the same buffer is forwarded to followers below. Under
-    // Staging::kRing, async_stage makes this a lock-free claim + encode +
-    // publish: the drainer appends later, and acknowledgment flows through
-    // AwaitAppended below (acks=all) or the high-watermark (acks<=1).
-    storage::AppendOptions append_options;
-    append_options.async_stage = true;
+    // disk, and the same buffer is forwarded to followers below.
     const int64_t pre_append_end = replica->log->end_offset();
-    auto batch_result = replica->log->AppendBatch(&records, append_options);
+    auto batch_result = replica->log->AppendBatch(&records);
     if (!batch_result.ok()) {
       // end_offset() advances only when the write itself committed, so it
       // distinguishes "batch never entered the log" from "batch is in the
       // log but its every-batch fsync failed" (phase 6). Only the former
-      // rolls the dedup window back: ring backpressure (ResourceExhausted)
-      // makes append rejections a normal, retriable event, and the retry of
-      // that batch must not be dropped as a duplicate. After a sync failure
-      // the records are readable in the log, so keeping the window advanced
+      // rolls the dedup window back: the producer retries a rejected append
+      // (an injected fault, a failed segment write) with the same sequence,
+      // and that retry must not be dropped as a duplicate. After a sync
+      // failure the records are readable in the log, so keeping the window
+      // advanced
       // turns the producer's same-sequence resend into a duplicate-drop
       // acknowledgment instead of a second, duplicating append.
       const bool landed = replica->log->end_offset() > pre_append_end;
@@ -675,12 +670,7 @@ Result<ProduceResponse> Broker::Produce(const TopicPartition& tp,
     }
     batch = std::move(batch_result).value();
     base = batch.base_offset();
-    // The batch's own extent, not end_offset(): under ring staging the
-    // append may not have committed yet (end_offset() excludes staged runs);
-    // under the locked path the two are identical while replica->mu is held.
     leo = batch.last_offset() + 1;
-    ring_staged =
-        replica->log->config().staging == storage::Staging::kRing;
     broker_produce_records_->Increment(static_cast<int64_t>(records.size()));
     replica->append_records->Increment(static_cast<int64_t>(records.size()));
     if (acks != AckMode::kAll) {
@@ -725,7 +715,7 @@ Result<ProduceResponse> Broker::Produce(const TopicPartition& tp,
   // membership lock — which keeps the Replica (and its log) alive, since
   // erasing one needs map_mu_ exclusive — but NOT the replica lock, so
   // same-partition producers keep filling the window we are waiting on.
-  if ((ring_staged || group_sync) && acks == AckMode::kAll) {
+  if (group_sync && acks == AckMode::kAll) {
     ReaderMutexLock map_lock(&map_mu_);
     auto replica_result = FindReplicaShared(tp);
     if (replica_result.ok()) {
@@ -734,14 +724,7 @@ Result<ProduceResponse> Broker::Produce(const TopicPartition& tp,
         MutexLock lock(&(*replica_result)->mu);
         log = (*replica_result)->log.get();
       }
-      if (log != nullptr) {
-        // Ring staging: an acks=all acknowledgment asserts the leader
-        // actually appended the batch, so wait for the drainer to land it
-        // (per-slot completion surfaces through the committed/durable
-        // watermarks) before the durability wait below.
-        if (ring_staged) LIQUID_RETURN_NOT_OK(log->AwaitAppended(base, leo));
-        if (group_sync) LIQUID_RETURN_NOT_OK(log->AwaitDurable(leo));
-      }
+      if (log != nullptr) LIQUID_RETURN_NOT_OK(log->AwaitDurable(leo));
     }
   }
 
@@ -1020,11 +1003,6 @@ Result<FetchResponse> Broker::Fetch(const TopicPartition& tp, int64_t offset,
       resp.next_fetch_offset =
           resp.batch.empty() ? offset : resp.batch.last_offset() + 1;
     } else {
-      // Under ring staging the high watermark only moves when something
-      // observes the drainer's progress; advancing it on the consumer fetch
-      // path keeps a quiet partition's tail visible without waiting for the
-      // next produce or replica fetch. (No-op when already current.)
-      AdvanceHighWatermarkLocked(tp, replica);
       // Consumers see only committed data; read_committed additionally hides
       // data of ongoing transactions (LSO clamp), aborted data and markers.
       const int64_t visibility_bound = read_committed

@@ -26,6 +26,7 @@ void PageCache::InsertPage(uint64_t key, std::string bytes, int64_t write_ms) {
     // Replace the buffer wholesale (never mutate): outstanding pins keep the
     // old buffer alive and see a frozen snapshot.
     it->second.bytes = std::make_shared<std::string>(std::move(bytes));
+    it->second.handed_out = false;
     if (write_ms != 0) {
       it->second.written = true;
       it->second.last_write_ms = std::max(it->second.last_write_ms, write_ms);
@@ -89,14 +90,15 @@ Status PageCache::Read(uint64_t file_id, const File& file, uint64_t offset,
 
   while (page_no <= last_page) {
     const uint64_t key = MakeKey(file_id, page_no);
-    // Holding a reference pins the buffer: NoteAppend sees use_count() > 1
-    // and clones instead of mutating, so copying outside the lock is safe.
+    // Holding a reference pins the buffer, and handed_out makes NoteAppend
+    // clone instead of mutating, so copying outside the lock is safe.
     std::shared_ptr<const std::string> page_bytes;
     {
       std::lock_guard<std::mutex> lock(mu_);
       auto it = pages_.find(key);
       if (it != pages_.end()) {
         page_bytes = it->second.bytes;
+        it->second.handed_out = true;
         Touch(&it->second);
         ++hits_;
       } else {
@@ -142,6 +144,7 @@ PageCache::PinnedPage PageCache::Pin(uint64_t file_id, uint64_t offset) {
   if (it == pages_.end()) return PinnedPage{};
   Touch(&it->second);
   ++hits_;
+  it->second.handed_out = true;
   return PinnedPage{it->second.bytes, page_no * config_.page_size};
 }
 
@@ -177,14 +180,13 @@ void PageCache::NoteAppend(uint64_t file_id, uint64_t offset, const Slice& data)
     Page& page = it->second;
     if (!page.bytes) {
       page.bytes = std::make_shared<std::string>();
-    } else if (page.bytes.use_count() > 1) {
-      // Copy-on-extend: a pin (or an in-flight Read copy) holds this buffer,
-      // so never mutate it in place — clone first, bounded by page_size.
-      // The use_count() check is race-free: new references are only taken
-      // under mu_, which we hold; a stale count can only be too high (a
-      // reader concurrently dropping its reference), which merely causes a
-      // harmless extra clone.
+    } else if (page.handed_out) {
+      // Copy-on-extend: a pin or a Read copy may still use this buffer, or
+      // may have used it with no synchronization since, so never mutate it
+      // in place — clone first, bounded by page_size. References are only
+      // handed out under mu_, which we hold.
       page.bytes = std::make_shared<std::string>(*page.bytes);
+      page.handed_out = false;
     }
     std::string& buf = *page.bytes;
     if (buf.size() < in_page_off + len) {

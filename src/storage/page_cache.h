@@ -85,10 +85,14 @@ class PageCache {
  private:
   struct Page {
     /// Shared so Pin() can hand out refcounted views. NoteAppend extends the
-    /// buffer in place only while the cache holds the sole reference
-    /// (use_count() == 1 under mu_); otherwise it clones first, so a pinned
-    /// buffer is immutable for the life of the pin.
+    /// buffer in place only while it has never been handed out; otherwise it
+    /// clones first, so a buffer a reader has seen is never mutated.
     std::shared_ptr<std::string> bytes;
+    /// Set when Pin() or Read() hands `bytes` out, cleared when NoteAppend
+    /// or InsertPage installs a fresh buffer. A flag rather than
+    /// use_count(): that count is a relaxed load, so seeing it drop to 1
+    /// does not order a former reader's accesses before an in-place write.
+    bool handed_out = false;
     bool written = false;       // Populated by the append path (vs a read).
     int64_t last_write_ms = 0;  // Meaningful only when written.
     uint64_t key = 0;

@@ -3,6 +3,7 @@
 #include <memory>
 
 #include "common/clock.h"
+#include "common/fault.h"
 #include "messaging/broker.h"
 #include "messaging/cluster.h"
 #include "messaging/producer.h"
@@ -55,6 +56,31 @@ TEST_F(IdempotenceTest, IdempotentRetryIsDeduplicated) {
   ASSERT_TRUE(retry.ok());
   EXPECT_EQ(retry->base_offset, -1);  // Marked as duplicate.
   EXPECT_EQ(LogEnd(), 1);             // Exactly one copy in the log.
+}
+
+TEST_F(IdempotenceTest, FailedAppendRollsBackTheSequence) {
+  // An append that fails before any record lands must roll back the
+  // sequence advance, or the producer's retry of that batch would be
+  // dropped as a duplicate and its records lost.
+  auto leader = cluster_->LeaderFor(tp_);
+  const int64_t pid = 7;
+  std::vector<storage::Record> first{storage::Record::KeyValue("k", "v0")};
+  ASSERT_TRUE((*leader)->Produce(tp_, first, AckMode::kAll, pid, 0).ok());
+
+  FaultSiteConfig append_fault;
+  append_fault.fail_code = StatusCode::kIOError;
+  append_fault.max_triggers = 1;
+  FaultRegistry::Default()->Arm("log.append.before", append_fault);
+  std::vector<storage::Record> batch{storage::Record::KeyValue("k", "v1")};
+  EXPECT_FALSE((*leader)->Produce(tp_, batch, AckMode::kAll, pid, 1).ok());
+  FaultRegistry::Default()->Clear();
+  EXPECT_EQ(LogEnd(), 1);
+
+  // The same-sequence retry is accepted and appended, not deduplicated.
+  auto retry = (*leader)->Produce(tp_, batch, AckMode::kAll, pid, 1);
+  ASSERT_TRUE(retry.ok()) << retry.status().ToString();
+  EXPECT_EQ(retry->base_offset, 1);
+  EXPECT_EQ(LogEnd(), 2);
 }
 
 TEST_F(IdempotenceTest, SequenceGapRejected) {

@@ -242,6 +242,53 @@ TEST_F(LogTest, RetentionKeepsFreshData) {
   EXPECT_EQ(log->start_offset(), 0);
 }
 
+TEST_F(LogTest, BudgetEndingInsideASegmentDoesNotSkipItsTail) {
+  // A read whose byte budget runs out inside one segment must stop there.
+  // Moving on to the next segment would hand over that segment's first
+  // record ("at least one record"), and a poller resuming after it would
+  // skip the rest of the first segment. No page cache, so ReadEncoded takes
+  // its copying path, which walks segments the same way.
+  LogConfig config;
+  config.segment_bytes = 512;
+  auto log = OpenLog(config);
+  for (int i = 0; i < 20; ++i) {
+    auto batch = KeyedBatch(5);
+    LIQUID_ASSERT_OK(log->Append(&batch));
+  }
+  ASSERT_GT(log->segment_count(), 2);
+  const int64_t end = log->end_offset();
+  std::vector<Record> probe;
+  LIQUID_ASSERT_OK(log->Read(0, 1, &probe));
+  ASSERT_EQ(probe.size(), 1u);
+  // Two and a half equal-sized records: most polls stop on a record that
+  // does not fit while the segment still holds more.
+  const size_t budget = probe[0].EncodedSize() * 5 / 2;
+
+  std::vector<int64_t> read_offsets;
+  for (int64_t offset = 0; offset < end;) {
+    std::vector<Record> out;
+    LIQUID_ASSERT_OK(log->Read(offset, budget, &out));
+    ASSERT_FALSE(out.empty()) << "at " << offset;
+    for (const Record& record : out) read_offsets.push_back(record.offset);
+    offset = out.back().offset + 1;
+  }
+  std::vector<int64_t> encoded_offsets;
+  for (int64_t offset = 0; offset < end;) {
+    EncodedBatch out;
+    LIQUID_ASSERT_OK(log->ReadEncoded(offset, budget, &out));
+    ASSERT_FALSE(out.empty()) << "at " << offset;
+    for (const BatchFrame& frame : out.frames()) {
+      encoded_offsets.push_back(frame.offset);
+    }
+    offset = out.last_offset() + 1;
+  }
+
+  std::vector<int64_t> all(static_cast<size_t>(end));
+  for (int64_t i = 0; i < end; ++i) all[static_cast<size_t>(i)] = i;
+  EXPECT_EQ(read_offsets, all);
+  EXPECT_EQ(encoded_offsets, all);
+}
+
 TEST_F(LogTest, EmptyAppendRejected) {
   auto log = OpenLog(LogConfig{});
   std::vector<Record> empty;

@@ -184,5 +184,28 @@ TEST_F(PageCacheTest, MultipleFilesDoNotCollide) {
   EXPECT_EQ(out, std::string(128, 'B'));
 }
 
+TEST_F(PageCacheTest, AppendNeverMutatesABufferOnceHandedOut) {
+  // A reader that has dropped its pin may still have read the buffer with no
+  // synchronization against the next append, so the append must clone the
+  // page rather than extend it in place: the old buffer then has no owner
+  // left once the reader lets go.
+  PageCache cache(SmallConfig(), &clock_);
+  auto base = disk_.OpenOrCreate("f");
+  CachedFile file(std::move(base).value(), &cache);
+  LIQUID_ASSERT_OK(file.Append(std::string(64, 'a')));
+  std::weak_ptr<const std::string> seen;
+  {
+    PageCache::PinnedPage pin = file.Pin(0);
+    ASSERT_TRUE(pin);
+    seen = pin.bytes;
+  }
+  EXPECT_FALSE(seen.expired());  // The cache still owns the page.
+  LIQUID_ASSERT_OK(file.Append(std::string(32, 'b')));
+  EXPECT_TRUE(seen.expired());  // Replaced by a clone, not mutated.
+  PageCache::PinnedPage pin = file.Pin(0);
+  ASSERT_TRUE(pin);
+  EXPECT_EQ(*pin.bytes, std::string(64, 'a') + std::string(32, 'b'));
+}
+
 }  // namespace
 }  // namespace liquid::storage

@@ -31,7 +31,7 @@ TESTDATA = os.path.join(HERE, "testdata")
 #          other rules allowed to co-fire in the bad file)
 # A rule may also map to a LIST of such tuples when one corpus pair cannot
 # carry every idiom the rule must understand (atomic-order: the plain
-# counter pair plus the MPSC-ring claim/publish/fence pair).
+# counter pair plus the lock-free ring claim/publish/fence pair).
 CASES = {
     "snapshot-then-call": ("snapshot_then_call_bad.cc", 3,
                            "snapshot_then_call_good.cc", set()),
@@ -48,8 +48,8 @@ CASES = {
     # Sleep, condvar wait, and a transitively-reached fsync under a hot root.
     "hot-block": ("hot_block_bad.cc", 3, "hot_block_good.cc", set()),
     # Bare seq_cst default plus an unjustified non-relaxed ordering; the
-    # ring pair covers the CAS-claim / release-publish / fence idiom of
-    # common/mpsc_ring.h (bad CAS defaults, unjustified acquire/release;
+    # ring pair covers the CAS-claim / release-publish / fence idiom of a
+    # lock-free MPSC ring (bad CAS defaults, unjustified acquire/release;
     # good `// order:` comments and the free-function fence staying exempt).
     "atomic-order": [
         ("atomic_order_bad.cc", 2, "atomic_order_good.cc", set()),

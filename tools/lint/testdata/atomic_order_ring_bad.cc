@@ -1,5 +1,5 @@
 // Lint corpus: atomic-order MUST fire on the MPSC-ring idiom done wrong
-// (common/mpsc_ring.h is the real thing). Claim() is a hot-path root; the
+// (a lock-free multi-producer ring). Claim() is a hot-path root; the
 // CAS with bare seq_cst defaults, the unjustified release publish, and the
 // unjustified acquire consume are each findings.
 #include "lint_stubs.h"

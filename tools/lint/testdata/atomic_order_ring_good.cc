@@ -1,5 +1,5 @@
 // Lint corpus: atomic-order must stay SILENT on the MPSC-ring idiom done
-// right (the discipline common/mpsc_ring.h follows): every non-relaxed
+// right (the discipline a lock-free ring must follow): every non-relaxed
 // member op carries an `// order:` comment naming the edge it creates,
 // relaxed ops claim no contract and need none, and the Dekker-style
 // atomic_thread_fence is a free function the member-op rule does not key on
