@@ -15,6 +15,7 @@
 #include "common/random.h"
 #include "storage/disk.h"
 #include "storage/log.h"
+#include "bench_util.h"
 #include "storage/page_cache.h"
 
 namespace liquid::storage {
@@ -51,7 +52,7 @@ std::unique_ptr<Rig> BuildRig(size_t cache_mb) {
   }
   for (int64_t have = 0; have < kLogRecords; have += 1000) {
     for (auto& r : batch) r.offset = -1;
-    LIQUID_CHECK_OK(rig->log->Append(&batch));
+    LIQUID_CHECK_OK(rig->log->AppendBatch(&batch));
   }
   return rig;
 }
@@ -62,7 +63,8 @@ void BM_TailRead(benchmark::State& state) {
   std::vector<Record> out;
   for (auto _ : state) {
     out.clear();
-    LIQUID_CHECK_OK(rig->log->Read(rig->log->end_offset() - 100, 64 * 1024, &out));
+    LIQUID_CHECK_OK(bench::ReadRecords(
+        *rig->log, rig->log->end_offset() - 100, 64 * 1024, &out));
   }
   state.counters["cache_hit_pct"] =
       100.0 * static_cast<double>(rig->cache->hits()) /
@@ -78,7 +80,7 @@ void BM_RewindReadCold(benchmark::State& state) {
   int64_t offset = 0;
   for (auto _ : state) {
     out.clear();
-    LIQUID_CHECK_OK(rig->log->Read(offset, 64 * 1024, &out));
+    LIQUID_CHECK_OK(bench::ReadRecords(*rig->log, offset, 64 * 1024, &out));
     offset += 50'000;  // Jump far: defeat read-ahead between iterations.
     if (offset > kLogRecords - 1000) offset = 0;
   }
@@ -95,7 +97,7 @@ void BM_RewindReadSequential(benchmark::State& state) {
   int64_t offset = 0;
   for (auto _ : state) {
     out.clear();
-    LIQUID_CHECK_OK(rig->log->Read(offset, 64 * 1024, &out));
+    LIQUID_CHECK_OK(bench::ReadRecords(*rig->log, offset, 64 * 1024, &out));
     offset = out.empty() ? 0 : out.back().offset + 1;
     if (offset >= kLogRecords) offset = 0;
   }
@@ -121,14 +123,14 @@ void BM_RandomReadNoCache(benchmark::State& state) {
   }
   for (int64_t have = 0; have < 50'000; have += 1000) {
     for (auto& r : batch) r.offset = -1;
-    LIQUID_CHECK_OK((*log)->Append(&batch));
+    LIQUID_CHECK_OK((*log)->AppendBatch(&batch));
   }
   std::vector<Record> out;
   Random pick(7);
   for (auto _ : state) {
     out.clear();
-    LIQUID_CHECK_OK(
-        (*log)->Read(static_cast<int64_t>(pick.Uniform(50'000)), 4096, &out));
+    LIQUID_CHECK_OK(bench::ReadRecords(
+        **log, static_cast<int64_t>(pick.Uniform(50'000)), 4096, &out));
   }
 }
 BENCHMARK(BM_RandomReadNoCache)->Unit(benchmark::kMicrosecond)->Iterations(200);

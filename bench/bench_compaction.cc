@@ -47,7 +47,7 @@ void RunSweep() {
         batch.push_back(Record::KeyValue("user" + std::to_string(k),
                                          rng.Bytes(64)));
       }
-      LIQUID_CHECK_OK((*log)->Append(&batch));
+      LIQUID_CHECK_OK((*log)->AppendBatch(&batch));
     }
 
     // Recovery = replay every surviving record into a state map.
@@ -58,7 +58,7 @@ void RunSweep() {
       std::vector<Record> chunk;
       while (cursor < (*log)->end_offset()) {
         chunk.clear();
-        LIQUID_CHECK_OK((*log)->Read(cursor, 1 << 20, &chunk));
+        LIQUID_CHECK_OK(bench::ReadRecords(**log, cursor, 1 << 20, &chunk));
         if (chunk.empty()) break;
         for (auto& record : chunk) state[record.key] = record.value;
         cursor = chunk.back().offset + 1;
@@ -111,7 +111,7 @@ void RunSkewed() {
       batch.push_back(Record::KeyValue("user" + std::to_string(zipf.Next()),
                                        rng.Bytes(64)));
       if (batch.size() == 1000) {
-        LIQUID_CHECK_OK((*log)->Append(&batch));
+        LIQUID_CHECK_OK((*log)->AppendBatch(&batch));
         batch.clear();
       }
     }

@@ -22,6 +22,7 @@
 #include "common/random.h"
 #include "storage/disk.h"
 #include "storage/log.h"
+#include "bench_util.h"
 
 namespace liquid::storage {
 namespace {
@@ -49,12 +50,12 @@ void BM_AppendAtLogSize(benchmark::State& state) {
   auto fill = MakeBatch(1000, &rng);
   for (int64_t have = 0; have < prefill; have += 1000) {
     for (auto& r : fill) r.offset = -1;
-    LIQUID_CHECK_OK((*log)->Append(&fill));
+    LIQUID_CHECK_OK((*log)->AppendBatch(&fill));
   }
   auto batch = MakeBatch(100, &rng);
   for (auto _ : state) {
     for (auto& r : batch) r.offset = -1;
-    benchmark::DoNotOptimize((*log)->Append(&batch));
+    benchmark::DoNotOptimize((*log)->AppendBatch(&batch));
   }
   state.SetItemsProcessed(state.iterations() * 100);
   state.counters["log_records"] = static_cast<double>((*log)->end_offset());
@@ -77,14 +78,15 @@ void BM_TailReadAtLogSize(benchmark::State& state) {
   auto fill = MakeBatch(1000, &rng);
   for (int64_t have = 0; have < prefill; have += 1000) {
     for (auto& r : fill) r.offset = -1;
-    LIQUID_CHECK_OK((*log)->Append(&fill));
+    LIQUID_CHECK_OK((*log)->AppendBatch(&fill));
   }
   const int64_t end = (*log)->end_offset();
   std::vector<Record> out;
   for (auto _ : state) {
     out.clear();
     // Read the most recent ~100 records (the head of the log).
-    benchmark::DoNotOptimize((*log)->Read(end - 100, 64 * 1024, &out));
+    benchmark::DoNotOptimize(
+        bench::ReadRecords(**log, end - 100, 64 * 1024, &out));
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(out.size()));
 }
@@ -107,7 +109,7 @@ void BM_RandomReadIndexAblation(benchmark::State& state) {
   auto fill = MakeBatch(1000, &rng);
   for (int64_t have = 0; have < 200'000; have += 1000) {
     for (auto& r : fill) r.offset = -1;
-    LIQUID_CHECK_OK((*log)->Append(&fill));
+    LIQUID_CHECK_OK((*log)->AppendBatch(&fill));
   }
   const int64_t end = (*log)->end_offset();
   std::vector<Record> out;
@@ -115,7 +117,7 @@ void BM_RandomReadIndexAblation(benchmark::State& state) {
   for (auto _ : state) {
     out.clear();
     const int64_t offset = static_cast<int64_t>(pick.Uniform(end));
-    benchmark::DoNotOptimize((*log)->Read(offset, 4096, &out));
+    benchmark::DoNotOptimize(bench::ReadRecords(**log, offset, 4096, &out));
   }
   state.counters["index_interval"] = static_cast<double>(index_interval);
 }
@@ -138,7 +140,7 @@ void BM_AppendRecordSize(benchmark::State& state) {
   }
   for (auto _ : state) {
     for (auto& r : batch) r.offset = -1;
-    benchmark::DoNotOptimize((*log)->Append(&batch));
+    benchmark::DoNotOptimize((*log)->AppendBatch(&batch));
   }
   state.SetBytesProcessed(state.iterations() * 100 *
                           static_cast<int64_t>(value_bytes));

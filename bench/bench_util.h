@@ -2,11 +2,27 @@
 #define LIQUID_BENCH_BENCH_UTIL_H_
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "common/status.h"
+#include "storage/log.h"
+#include "storage/record.h"
+#include "storage/record_batch.h"
+
 namespace liquid::bench {
+
+/// Reads records the way every reader does: the encoded frames from
+/// Log::ReadEncoded, decoded with EncodedBatch::DecodeAll (appending to
+/// `out`).
+inline Status ReadRecords(const storage::Log& log, int64_t offset,
+                          size_t max_bytes, std::vector<storage::Record>* out) {
+  storage::EncodedBatch batch;
+  LIQUID_RETURN_NOT_OK(log.ReadEncoded(offset, max_bytes, &batch));
+  return batch.DecodeAll(out);
+}
 
 /// Wall-clock stopwatch (microseconds).
 class Stopwatch {

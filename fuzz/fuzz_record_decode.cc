@@ -1,16 +1,16 @@
 /// Fuzz target: commit-log record decode (storage/record.cc).
 ///
-/// The record frame is the broker's untrusted ingest surface: fetch responses
-/// and on-disk segments both run through DecodeRecord/DecodeRecords. Any
-/// input must either decode or return a Status — never crash, never read out
-/// of bounds. Records that do decode must round-trip through EncodeRecord.
+/// The record frame is the broker's untrusted ingest surface: on-disk
+/// segments run through DecodeRecordHeader (CRC checked) and clients decode
+/// the gathered frames with DecodeRecord (CRC not checked again). Any input
+/// must either decode or return a Status — never crash, never read out of
+/// bounds, with or without the CRC check. Records that do decode must
+/// round-trip through EncodeRecord.
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
-#include "common/nodiscard.h"
 #include "common/slice.h"
 #include "storage/record.h"
 
@@ -41,9 +41,19 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     }
   }
 
-  // The batch decoder must stop cleanly at a torn tail, whatever the bytes.
-  std::vector<liquid::storage::Record> records;
-  LIQUID_IGNORE_ERROR(liquid::storage::DecodeRecords(
-      liquid::Slice(reinterpret_cast<const char*>(data), size), &records));
+  // Segment scans parse frame headers, and clients decode gathered frames
+  // without a second CRC check: both must be just as safe on forged bytes.
+  liquid::Slice frames(reinterpret_cast<const char*>(data), size);
+  liquid::storage::RecordFrameHeader header;
+  while (liquid::storage::DecodeRecordHeader(frames, &header,
+                                             /*verify_crc=*/false)
+             .ok()) {
+    frames.RemovePrefix(header.encoded_size);
+  }
+  liquid::Slice unchecked(reinterpret_cast<const char*>(data), size);
+  while (liquid::storage::DecodeRecord(&unchecked, &record,
+                                       /*verify_crc=*/false)
+             .ok()) {
+  }
   return 0;
 }

@@ -27,6 +27,9 @@
 #      loss/duplicates/reordering under the seeded fault schedule) and the
 #      same soak with --broken-acks must FAIL, proving the invariant checks
 #      detect an ack-before-durable build.
+#  11. Benchmark correctness smoke: every perfbench workload runs for 3 s and
+#      must report correct output with zero failed operations
+#      (scripts/perfbench_smoke.sh).
 #
 # Any thread-safety warning, clang-tidy error, sanitizer report, or fuzzer
 # crash fails the script (non-zero exit). Steps that need Clang tooling are
@@ -213,6 +216,17 @@ if (cd build-bench && bench/bench_chaos_soak --quick --broken-acks \
   fail "chaos soak PASSED with --broken-acks — the harness cannot detect ack-before-durable"
 else
   echo "OK: --broken-acks run failed as it must"
+fi
+
+# ---- 11. Benchmark correctness smoke ---------------------------------------
+# perfbench/run.py exits 0 even when a workload's output check fails; the
+# smoke script parses its final JSON line and fails unless correct is true
+# and no operation failed.
+note "benchmark correctness smoke (perfbench/run.py --workload all --seconds 3)"
+if scripts/perfbench_smoke.sh 3; then
+  echo "OK: every perfbench workload correct, no failed operations"
+else
+  fail "perfbench smoke reported incorrect output or failed operations"
 fi
 
 # ----------------------------------------------------------------------------

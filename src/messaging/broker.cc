@@ -301,11 +301,13 @@ Status Broker::RebuildProducerStateLocked(Replica* replica) {
   replica->producer_last_seq.clear();
   int64_t cursor = replica->log->start_offset();
   const int64_t end = replica->log->end_offset();
+  storage::EncodedBatch batch;
   std::vector<storage::Record> records;
   while (cursor < end) {
+    LIQUID_RETURN_NOT_OK(replica->log->ReadEncoded(cursor, 1 << 20, &batch));
+    if (batch.empty()) break;
     records.clear();
-    LIQUID_RETURN_NOT_OK(replica->log->Read(cursor, 1 << 20, &records));
-    if (records.empty()) break;
+    LIQUID_RETURN_NOT_OK(batch.DecodeAll(&records));
     for (const storage::Record& record : records) {
       // Control markers carry a producer id but no sequence; skip them.
       if (record.producer_id == storage::kNoProducerId || record.sequence < 0) {
@@ -315,7 +317,7 @@ Status Broker::RebuildProducerStateLocked(Replica* replica) {
           record.producer_id, record.sequence);
       if (!inserted) it->second = std::max(it->second, record.sequence);
     }
-    cursor = records.back().offset + 1;
+    cursor = batch.last_offset() + 1;
   }
   return Status::OK();
 }
@@ -766,62 +768,11 @@ Result<ProduceResponse> Broker::Produce(const TopicPartition& tp,
   return result;
 }
 
-Status Broker::AppendAsFollower(const TopicPartition& tp,
-                                const std::vector<storage::Record>& records,
-                                int leader_epoch, int64_t leader_hw) {
-  // Chaos surface: a follower that drops/delays leader pushes — the leader
-  // reacts by shrinking the ISR, which is exactly what the soak verifies.
-  LIQUID_FAULT_POINT("broker.replicate.before_append");
-  ReaderMutexLock map_lock(&map_mu_);
-  LIQUID_ASSIGN_OR_RETURN(Replica * replica, FindReplicaShared(tp));
-  MutexLock lock(&replica->mu);
-  if (leader_epoch < replica->leader_epoch) {
-    return Status::FailedPrecondition("push from stale leader epoch");
-  }
-  replica->leader_epoch = leader_epoch;
-  if (records.empty()) return Status::OK();
-  const int64_t local_end = replica->log->end_offset();
-  if (records.front().offset > local_end) {
-    // We missed earlier data (e.g. we were out of the ISR); signal the leader
-    // so it shrinks the ISR; the pull path will catch us up.
-    return Status::OutOfRange("follower behind leader push");
-  }
-  std::vector<storage::Record> fresh;
-  for (const auto& record : records) {
-    if (record.offset >= local_end) fresh.push_back(record);
-  }
-  if (!fresh.empty()) {
-    const int64_t t0 = clock_->NowUs();
-    LIQUID_RETURN_NOT_OK(replica->log->AppendWithOffsets(fresh));
-    for (const auto& record : fresh) {
-      NoteEpochLocked(tp, replica, record.leader_epoch, record.offset);
-    }
-    replicated_records_->Increment(static_cast<int64_t>(fresh.size()));
-    replica->append_records->Increment(static_cast<int64_t>(fresh.size()));
-    TraceCollector* tracer = TraceCollector::Default();
-    if (tracer->enabled()) {
-      const int64_t now_us = clock_->NowUs();
-      for (const auto& record : fresh) {
-        if (!record.traced()) continue;
-        tracer->Record(Span{record.trace_id, tracer->NewSpanId(),
-                            record.span_id, t0, now_us, "replicate",
-                            tp.ToString() + " follower=" + std::to_string(id_)});
-      }
-    }
-  }
-  const int64_t new_hw =
-      std::min<int64_t>(leader_hw, replica->log->end_offset());
-  if (new_hw > replica->high_watermark) {
-    replica->high_watermark = new_hw;
-    StoreHighWatermarkLocked(tp, replica);
-  }
-  return Status::OK();
-}
-
 Status Broker::AppendEncodedAsFollower(const TopicPartition& tp,
                                        const storage::EncodedBatch& batch,
                                        int leader_epoch, int64_t leader_hw) {
-  // Same chaos surface as AppendAsFollower for the encode-once push path.
+  // Chaos surface: a follower that drops/delays leader pushes — the leader
+  // reacts by shrinking the ISR, which is exactly what the soak verifies.
   LIQUID_FAULT_POINT("broker.replicate.before_append");
   ReaderMutexLock map_lock(&map_mu_);
   LIQUID_ASSIGN_OR_RETURN(Replica * replica, FindReplicaShared(tp));
@@ -897,7 +848,7 @@ Status Broker::BeginPartitionTxn(const TopicPartition& tp, int64_t pid) {
 
 Status Broker::WriteTxnMarker(const TopicPartition& tp, int64_t pid,
                               bool committed) {
-  std::vector<storage::Record> marker;
+  storage::EncodedBatch marker;
   std::vector<int> targets;
   int epoch = 0;
   int64_t leo = 0;
@@ -911,13 +862,13 @@ Status Broker::WriteTxnMarker(const TopicPartition& tp, int64_t pid,
     if (it == replica->ongoing_txns.end()) {
       return Status::NotFound("no ongoing txn for pid " + std::to_string(pid));
     }
-    marker.push_back(storage::Record::ControlMarker(pid, committed));
-    marker[0].leader_epoch = replica->leader_epoch;
-    auto base = replica->log->Append(&marker);
-    if (!base.ok()) return base.status();
+    std::vector<storage::Record> records{
+        storage::Record::ControlMarker(pid, committed)};
+    records[0].leader_epoch = replica->leader_epoch;
+    LIQUID_ASSIGN_OR_RETURN(marker, replica->log->AppendBatch(&records));
     if (!committed) {
       replica->aborted_ranges.push_back(
-          AbortedRange{pid, it->second, marker.front().offset});
+          AbortedRange{pid, it->second, marker.base_offset()});
     }
     replica->ongoing_txns.erase(it);
     leo = replica->log->end_offset();
@@ -935,7 +886,7 @@ Status Broker::WriteTxnMarker(const TopicPartition& tp, int64_t pid,
   for (int member : targets) {
     Broker* follower = cluster_->broker(member);
     if (follower != nullptr &&
-        follower->AppendAsFollower(tp, marker, epoch, hw).ok()) {
+        follower->AppendEncodedAsFollower(tp, marker, epoch, hw).ok()) {
       reached.push_back(member);
     }
   }
@@ -1004,50 +955,46 @@ Result<FetchResponse> Broker::Fetch(const TopicPartition& tp, int64_t offset,
           resp.batch.empty() ? offset : resp.batch.last_offset() + 1;
     } else {
       // Consumers see only committed data; read_committed additionally hides
-      // data of ongoing transactions (LSO clamp), aborted data and markers.
+      // data of ongoing transactions (LSO clamp). Aborted data and markers
+      // stay in the batch: the client drops them while decoding, outside
+      // this lock.
       const int64_t visibility_bound = read_committed
                                            ? LastStableOffsetLocked(*replica)
                                            : replica->high_watermark;
-      LIQUID_RETURN_NOT_OK(replica->log->Read(offset, max_bytes, &resp.records));
-      while (!resp.records.empty() &&
-             resp.records.back().offset >= visibility_bound) {
-        resp.records.pop_back();
-      }
+      LIQUID_RETURN_NOT_OK(
+          replica->log->ReadEncoded(offset, max_bytes, &resp.batch));
+      resp.batch.TrimToOffset(visibility_bound);
       resp.next_fetch_offset =
-          resp.records.empty() ? std::max(offset, replica->log->start_offset())
-                               : resp.records.back().offset + 1;
-      if (read_committed) {
-        std::vector<storage::Record> visible;
-        visible.reserve(resp.records.size());
-        for (auto& record : resp.records) {
-          if (record.is_control) continue;
-          bool aborted = false;
-          for (const AbortedRange& range : replica->aborted_ranges) {
-            if (record.producer_id == range.pid &&
-                record.offset >= range.first_offset &&
-                record.offset < range.last_offset) {
-              aborted = true;
-              break;
-            }
+          resp.batch.empty() ? std::max(offset, replica->log->start_offset())
+                             : resp.batch.last_offset() + 1;
+      if (read_committed && !resp.batch.empty()) {
+        for (const AbortedRange& range : replica->aborted_ranges) {
+          if (range.first_offset <= resp.batch.last_offset() &&
+              range.last_offset > resp.batch.base_offset()) {
+            // liquid-lint: allow(hot-alloc): reached only by read_committed fetches overlapping an aborted transaction; the common case appends nothing.
+            resp.aborted.push_back(range);
           }
-          if (!aborted) visible.push_back(std::move(record));
         }
-        resp.records = std::move(visible);
       }
-      broker_fetch_records_->Increment(
-          static_cast<int64_t>(resp.records.size()));
-      fetch_records_->Increment(static_cast<int64_t>(resp.records.size()));
+      const auto served = static_cast<int64_t>(resp.batch.record_count());
+      broker_fetch_records_->Increment(served);
+      fetch_records_->Increment(served);
       const int64_t now_us = clock_->NowUs();
       fetch_us_->Record(now_us - t0);
-      // One "fetch" span per traced record handed to a consumer; the consumer
+      // One "fetch" span per traced frame served to a consumer; the consumer
       // (or job) parents its own span on the record's span_id afterwards, so
-      // the span_id field stays the record's last producer-side hop.
+      // the span_id field stays the record's last producer-side hop. Only
+      // traced frames are decoded; the untraced common case touches no
+      // payload bytes under this lock.
       TraceCollector* tracer = TraceCollector::Default();
       if (tracer->enabled()) {
-        for (const auto& record : resp.records) {
-          if (!record.traced()) continue;
-          tracer->Record(Span{record.trace_id, tracer->NewSpanId(),
-                              record.span_id, t0, now_us, "fetch",
+        const std::vector<storage::BatchFrame>& frames = resp.batch.frames();
+        for (size_t i = 0; i < frames.size(); ++i) {
+          if (!frames[i].traced) continue;
+          auto record = resp.batch.DecodeFrame(i);
+          if (!record.ok()) continue;
+          tracer->Record(Span{record->trace_id, tracer->NewSpanId(),
+                              record->span_id, t0, now_us, "fetch",
                               tp.ToString()});
         }
       }

@@ -103,15 +103,17 @@ class Broker {
                                   int32_t first_sequence = -1,
                                   const std::string& client_id = "");
 
-  /// Reads records starting at `offset`. Consumers (`replica_id < 0`) see only
-  /// committed data (below the high-watermark); replica fetches see the full
-  /// log — returned as the shared encoded buffer (FetchResponse::batch, the
-  /// encode-once path) — and advance the leader's view of the follower
-  /// (possibly expanding the ISR and the high-watermark).
-  /// `read_committed` hides transactional data until its transaction commits
-  /// (records are clamped to the last-stable-offset, aborted data and
-  /// control markers are filtered out) — the exactly-once extension the
-  /// paper calls an "ongoing effort" (§4.3).
+  /// Reads the stored frames starting at `offset` as one shared encoded
+  /// buffer (FetchResponse::batch, the encode-once path). Consumers
+  /// (`replica_id < 0`) see only committed data (below the high-watermark);
+  /// replica fetches see the full log and advance the leader's view of the
+  /// follower (possibly expanding the ISR and the high-watermark).
+  /// `read_committed` hides transactional data until its transaction commits:
+  /// the batch is clamped to the last-stable-offset and carries the aborted
+  /// ranges it overlaps, which the client drops while decoding (see
+  /// DecodeVisible) — the exactly-once extension the paper calls an "ongoing
+  /// effort" (§4.3). No payload is decoded under the partition lock except
+  /// traced frames, for their fetch span.
   LIQUID_HOT_PATH
   Result<FetchResponse> Fetch(const TopicPartition& tp, int64_t offset,
                               size_t max_bytes, int replica_id = -1,
@@ -148,12 +150,8 @@ class Broker {
 
   // ---- Replication ----
 
-  /// Push-path append from the leader (synchronous acks=all replication).
-  Status AppendAsFollower(const TopicPartition& tp,
-                          const std::vector<storage::Record>& records,
-                          int leader_epoch, int64_t leader_hw);
-
-  /// Encode-once push path: the leader forwards the exact bytes it appended
+  /// Push-path append from the leader (synchronous acks=all replication and
+  /// transaction markers): the leader forwards the exact bytes it appended
   /// locally; frames already stored here (offset < local end) are skipped by
   /// slicing the shared buffer, never by re-encoding.
   Status AppendEncodedAsFollower(const TopicPartition& tp,
@@ -186,12 +184,6 @@ class Broker {
   storage::Disk* disk() { return disk_; }
 
  private:
-  struct AbortedRange {
-    int64_t pid;
-    int64_t first_offset;
-    int64_t last_offset;  // The abort marker's offset (exclusive bound).
-  };
-
   /// One hosted partition. Each replica owns its lock: requests for
   /// different partitions of the same broker proceed fully in parallel.
   /// Non-movable (the Mutex pins it); replicas_ is a node-based map, so

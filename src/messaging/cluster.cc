@@ -1,7 +1,6 @@
 #include "messaging/cluster.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdlib>
 #include <utility>
 
@@ -13,7 +12,6 @@ Cluster::Cluster(ClusterConfig config, Clock* clock)
     : config_(config), clock_(clock) {}
 
 Cluster::~Cluster() {
-  StopReplicationThread();
   // Stop brokers gracefully so controller churn during teardown is bounded.
   std::vector<Broker*> to_stop;
   {
@@ -263,21 +261,6 @@ void Cluster::RunLogMaintenance() {
                       << st.ToString();
     }
   }
-}
-
-void Cluster::StartReplicationThread(int interval_ms) {
-  if (replication_running_.exchange(true)) return;
-  replication_thread_ = std::thread([this, interval_ms] {
-    while (replication_running_.load()) {
-      ReplicationTick();
-      std::this_thread::sleep_for(std::chrono::milliseconds(interval_ms));
-    }
-  });
-}
-
-void Cluster::StopReplicationThread() {
-  if (!replication_running_.exchange(false)) return;
-  if (replication_thread_.joinable()) replication_thread_.join();
 }
 
 int Cluster::ControllerId() const {

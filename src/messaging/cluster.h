@@ -1,11 +1,9 @@
 #ifndef LIQUID_MESSAGING_CLUSTER_H_
 #define LIQUID_MESSAGING_CLUSTER_H_
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/clock.h"
@@ -32,8 +30,8 @@ struct ClusterConfig {
 /// and topic administration. Brokers' disks are owned here so that a broker
 /// "process" can crash (Stop) and restart against its surviving disk.
 ///
-/// Replication catch-up (the follower pull path) is driven either manually
-/// via ReplicationTick() (deterministic tests) or by a background thread.
+/// Replication catch-up (the follower pull path) is driven by the caller
+/// through ReplicationTick(), which keeps tests deterministic.
 class Cluster {
  public:
   Cluster(ClusterConfig config, Clock* clock);
@@ -81,10 +79,6 @@ class Cluster {
   /// Retention + compaction pass on every alive broker.
   void RunLogMaintenance();
 
-  /// Background replication pump (optional; tests usually tick manually).
-  void StartReplicationThread(int interval_ms);
-  void StopReplicationThread();
-
   coord::CoordinationService* coord() { return &coord_; }
   Clock* clock() { return clock_; }
   /// Cluster-wide ACLs, enforced by every broker on client requests (§2.1).
@@ -103,10 +97,6 @@ class Cluster {
   std::map<int, std::unique_ptr<storage::MemDisk>> disks_ GUARDED_BY(mu_);
   std::map<int, std::unique_ptr<Broker>> brokers_ GUARDED_BY(mu_);
   std::map<std::string, TopicConfig> topics_ GUARDED_BY(mu_);
-
-  // liquid-lint: allow(guarded-by): written only by Start/StopReplicationThread, which serialize through the replication_running_ exchange.
-  std::thread replication_thread_;
-  std::atomic<bool> replication_running_{false};
 };
 
 }  // namespace liquid::messaging

@@ -44,6 +44,7 @@ Status Consumer::RefreshAssignmentLocked() {
   generation_ = assignment.generation;
   assignment_ = std::move(assignment.partitions);
   poll_cursor_ = 0;
+  pending_.clear();
 
   std::map<TopicPartition, int64_t> fresh;
   for (const TopicPartition& tp : assignment_) {
@@ -83,54 +84,66 @@ Result<std::vector<ConsumerRecord>> Consumer::Poll(size_t max_records) {
   // huge max_records cannot turn into a huge speculative allocation.
   out.reserve(std::min<size_t>(max_records, 1024));
 
+  std::vector<storage::Record> decoded;
   for (size_t visited = 0;
        visited < assignment_.size() && out.size() < max_records; ++visited) {
     const TopicPartition& tp =
         assignment_[(poll_cursor_ + visited) % assignment_.size()];
-    // Unified retry discipline (DESIGN.md §7): a transiently failing
-    // partition (leader mid-election, injected Unavailable) gets a short
-    // jittered backoff and a fresh LeaderFor — the metadata refresh — instead
-    // of silently losing its turn. An exhausted budget defers the partition
-    // to the next Poll rather than failing the whole call.
-    RetryState retry(config_.retry, cluster_->clock(), Deadline::Infinite(),
-                     static_cast<uint64_t>(positions_[tp] + 1) *
-                             1099511628211ull +
-                         static_cast<uint64_t>(tp.partition),
-                     &retry_metrics_);
-    Result<FetchResponse> resp = Status::Unavailable("no fetch attempt");
-    do {
-      auto leader = cluster_->LeaderFor(tp);
-      if (leader.ok()) {
-        resp = (*leader)->Fetch(tp, positions_[tp], config_.fetch_max_bytes,
-                                -1, config_.client_id, config_.read_committed);
-      } else {
-        resp = leader.status();
-      }
-    } while (!resp.ok() && retry.ShouldRetry(resp.status()));
-    if (!resp.ok()) continue;
-    // Same client-side quota contract as the producer: the broker never
-    // sleeps; an over-quota consumer serves its own throttle verdict here.
-    // liquid-lint: allow(snapshot-then-call): mu_ is the consumer's API lock and the poll is the throttle point; Close/Commit waiting out an in-flight poll is the documented contract.
-    // liquid-lint: allow(hot-block): client-side quota contract (section 4.5): the broker never sleeps; an over-quota consumer serves its own throttle verdict here.
-    if (resp->throttle_ms > 0) cluster_->clock()->SleepMs(resp->throttle_ms);
-    bool took_all = true;
-    for (auto& record : resp->records) {
-      if (out.size() >= max_records) {
-        took_all = false;
-        break;
-      }
-      positions_[tp] = record.offset + 1;
+    PendingFetch& pending = pending_[tp];
+    if (pending.next_frame >= pending.batch.record_count()) {
+      // Unified retry discipline (DESIGN.md §7): a transiently failing
+      // partition (leader mid-election, injected Unavailable) gets a short
+      // jittered backoff and a fresh LeaderFor — the metadata refresh —
+      // instead of silently losing its turn. An exhausted budget defers the
+      // partition to the next Poll rather than failing the whole call.
+      RetryState retry(config_.retry, cluster_->clock(), Deadline::Infinite(),
+                       static_cast<uint64_t>(positions_[tp] + 1) *
+                               1099511628211ull +
+                           static_cast<uint64_t>(tp.partition),
+                       &retry_metrics_);
+      Result<FetchResponse> resp = Status::Unavailable("no fetch attempt");
+      do {
+        auto leader = cluster_->LeaderFor(tp);
+        if (leader.ok()) {
+          resp = (*leader)->Fetch(tp, positions_[tp], config_.fetch_max_bytes,
+                                  -1, config_.client_id,
+                                  config_.read_committed);
+        } else {
+          resp = leader.status();
+        }
+      } while (!resp.ok() && retry.ShouldRetry(resp.status()));
+      if (!resp.ok()) continue;
+      // Same client-side quota contract as the producer: the broker never
+      // sleeps; an over-quota consumer serves its own throttle verdict here.
+      // liquid-lint: allow(snapshot-then-call): mu_ is the consumer's API lock and the poll is the throttle point; Close/Commit waiting out an in-flight poll is the documented contract.
+      // liquid-lint: allow(hot-block): client-side quota contract (section 4.5): the broker never sleeps; an over-quota consumer serves its own throttle verdict here.
+      if (resp->throttle_ms > 0) cluster_->clock()->SleepMs(resp->throttle_ms);
+      pending.batch = std::move(resp->batch);
+      pending.aborted = std::move(resp->aborted);
+      pending.next_frame = 0;
+      pending.next_fetch_offset = resp->next_fetch_offset;
+      pending.high_watermark = resp->high_watermark;
+    }
+    decoded.clear();
+    LIQUID_RETURN_NOT_OK(DecodeVisible(pending.batch, pending.aborted,
+                                       max_records - out.size(),
+                                       &pending.next_frame, &decoded));
+    for (storage::Record& record : decoded) {
       out.push_back(ConsumerRecord{tp, std::move(record)});
     }
-    if (took_all) {
-      // Advance past filtered records (control markers, aborted data).
-      positions_[tp] = std::max(positions_[tp], resp->next_fetch_offset);
+    const int64_t high_watermark = pending.high_watermark;
+    if (pending.next_frame < pending.batch.record_count()) {
+      positions_[tp] = pending.batch.frames()[pending.next_frame].offset;
+    } else {
+      // Used up: advance past filtered records (control markers, aborted
+      // data) and release the buffer.
+      positions_[tp] = std::max(positions_[tp], pending.next_fetch_offset);
+      pending = PendingFetch{};
     }
     // Live lag for this partition: committed data not yet consumed. A dead
     // (non-polling) member stops updating these; the lag monitor derives its
     // view from committed offsets instead (see lag_monitor.h).
-    const int64_t lag =
-        std::max<int64_t>(0, resp->high_watermark - positions_[tp]);
+    const int64_t lag = std::max<int64_t>(0, high_watermark - positions_[tp]);
     partition_lag_[tp] = lag;
     auto gauge = partition_lag_gauges_.find(tp);
     if (gauge == partition_lag_gauges_.end()) {
@@ -184,11 +197,13 @@ Status Consumer::Seek(const TopicPartition& tp, int64_t offset) {
     return Status::InvalidArgument("partition not assigned: " + tp.ToString());
   }
   positions_[tp] = offset;
+  pending_.erase(tp);
   return Status::OK();
 }
 
 Status Consumer::SeekToTimestamp(int64_t ts_ms) {
   MutexLock lock(&mu_);
+  pending_.clear();
   for (const TopicPartition& tp : assignment_) {
     auto leader = cluster_->LeaderFor(tp);
     if (!leader.ok()) return leader.status();

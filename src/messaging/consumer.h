@@ -15,6 +15,7 @@
 #include "messaging/metadata.h"
 #include "messaging/offset_manager.h"
 #include "storage/record.h"
+#include "storage/record_batch.h"
 
 namespace liquid::messaging {
 
@@ -62,8 +63,10 @@ class Consumer {
   /// Joins the group, subscribing to `topics`; triggers a rebalance.
   Status Subscribe(const std::vector<std::string>& topics);
 
-  /// Fetches up to ~max_records across assigned partitions (round-robin).
-  /// Returns an empty vector when no new committed data exists.
+  /// Returns up to max_records records across assigned partitions
+  /// (round-robin). A partition is served first from the undelivered rest of
+  /// its last fetch, and fetched again only once that is used up. Returns an
+  /// empty vector when no new committed data exists.
   LIQUID_HOT_PATH
   Result<std::vector<ConsumerRecord>> Poll(size_t max_records);
 
@@ -99,6 +102,16 @@ class Consumer {
   const std::string& member_id() const { return member_id_; }
 
  private:
+  /// The undelivered rest of one partition's last fetch, still encoded.
+  struct PendingFetch {
+    storage::EncodedBatch batch;
+    std::vector<AbortedRange> aborted;
+    /// Index of the first frame of `batch` not yet decoded.
+    size_t next_frame = 0;
+    int64_t next_fetch_offset = 0;
+    int64_t high_watermark = 0;
+  };
+
   /// Re-fetches the assignment if the group generation moved; initializes
   /// positions of newly assigned partitions from committed offsets.
   Status RefreshAssignmentLocked() REQUIRES(mu_);
@@ -127,6 +140,9 @@ class Consumer {
   int64_t generation_ GUARDED_BY(mu_) = -1;
   std::vector<TopicPartition> assignment_ GUARDED_BY(mu_);
   std::map<TopicPartition, int64_t> positions_ GUARDED_BY(mu_);
+  /// Dropped on Seek, SeekToTimestamp and any assignment change, so a
+  /// position set from outside is never shadowed by stale frames.
+  std::map<TopicPartition, PendingFetch> pending_ GUARDED_BY(mu_);
   // Round-robin over assigned partitions.
   size_t poll_cursor_ GUARDED_BY(mu_) = 0;
   bool closed_ GUARDED_BY(mu_) = false;

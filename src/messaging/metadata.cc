@@ -56,4 +56,37 @@ Result<PartitionState> PartitionState::Parse(const std::string& data) {
   return state;
 }
 
+Status DecodeVisible(const storage::EncodedBatch& batch,
+                     const std::vector<AbortedRange>& aborted,
+                     size_t max_records, size_t* next_frame,
+                     std::vector<storage::Record>* out) {
+  const std::vector<storage::BatchFrame>& frames = batch.frames();
+  size_t i = *next_frame;
+  out->reserve(out->size() + std::min(max_records, frames.size() - i));
+  size_t appended = 0;
+  for (; i < frames.size() && appended < max_records; ++i) {
+    if (frames[i].is_control) continue;  // Header-only check, no decode.
+    Slice input(batch.buffer()->data() + frames[i].pos, frames[i].len);
+    storage::Record& record = out->emplace_back();
+    const Status st =
+        storage::DecodeRecord(&input, &record, /*verify_crc=*/false);
+    if (!st.ok()) {
+      out->pop_back();
+      return st;
+    }
+    const auto covers = [&record](const AbortedRange& range) {
+      return record.producer_id == range.pid &&
+             record.offset >= range.first_offset &&
+             record.offset < range.last_offset;
+    };
+    if (std::any_of(aborted.begin(), aborted.end(), covers)) {
+      out->pop_back();
+    } else {
+      ++appended;
+    }
+  }
+  *next_frame = i;
+  return Status::OK();
+}
+
 }  // namespace liquid::messaging

@@ -80,24 +80,49 @@ struct ProduceResponse {
   int64_t throttle_ms = 0;
 };
 
-/// Broker reply to a fetch request: records plus the log offsets a consumer
-/// needs to track its position and compute lag (high_watermark − position).
+/// The data of one aborted transaction on a partition: records of `pid` with
+/// offsets in [first_offset, last_offset) never reach read_committed
+/// consumers. `last_offset` is the abort marker's own offset.
+struct AbortedRange {
+  int64_t pid = storage::kNoProducerId;
+  int64_t first_offset = 0;
+  int64_t last_offset = 0;
+};
+
+/// Broker reply to a fetch request: the stored frames plus the log offsets a
+/// consumer needs to track its position and compute lag (high_watermark −
+/// position).
 struct FetchResponse {
-  std::vector<storage::Record> records;
-  /// Replica fetches get the raw encoded frames as a shared immutable buffer
-  /// instead of `records` (the encode-once path: the follower appends these
-  /// bytes verbatim — no decode/re-encode round trip, no deep copy).
+  /// The log's encoded frames, byte for byte (the encode-once path: each
+  /// frame's CRC was checked once, when the log gathered it). Replica fetches
+  /// get the full log and append these bytes verbatim. Consumer fetches are
+  /// trimmed to the high watermark (read_committed: the last stable offset)
+  /// but still hold control markers and aborted data; the client drops those
+  /// while decoding (DecodeVisible).
   storage::EncodedBatch batch;
+  /// read_committed consumer fetches only: the aborted transactions whose
+  /// ranges overlap `batch`.
+  std::vector<AbortedRange> aborted;
   int64_t high_watermark = 0;
   int64_t log_start_offset = 0;
   int64_t log_end_offset = 0;
-  /// Where the consumer should fetch next. May be beyond the last returned
-  /// record: read_committed fetches filter out control markers and aborted
-  /// data, and the position must advance past them.
+  /// Where the consumer should fetch next: one past the last frame in
+  /// `batch`, which may be beyond the last record a consumer gets to see.
   int64_t next_fetch_offset = 0;
   /// Same client-side throttle contract as ProduceResponse::throttle_ms.
   int64_t throttle_ms = 0;
 };
+
+/// Decodes the frames of `batch` from index `*next_frame` on, appending to
+/// `out` every record an application may see: control markers and records
+/// inside an `aborted` range are dropped. Stops once `max_records` records
+/// were appended or the batch ends, and advances `*next_frame` past every
+/// frame it consumed. Runs in the client, outside every broker lock, and does
+/// not check CRCs again (the log checked each frame when it gathered it).
+Status DecodeVisible(const storage::EncodedBatch& batch,
+                     const std::vector<AbortedRange>& aborted,
+                     size_t max_records, size_t* next_frame,
+                     std::vector<storage::Record>* out);
 
 /// Coordination-service paths used by brokers and the controller.
 namespace paths {

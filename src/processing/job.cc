@@ -175,6 +175,7 @@ Status Job::RestoreStore(int partition, const StoreConfig& store_config,
       ChangelogTopic(config_.name, store_config.name), partition};
   int64_t cursor = -1;
   int64_t restored = 0;
+  std::vector<storage::Record> records;
   while (true) {
     auto leader = cluster_->LeaderFor(changelog_tp);
     if (!leader.ok()) return leader.status();
@@ -188,11 +189,18 @@ Status Job::RestoreStore(int partition, const StoreConfig& store_config,
     auto resp = (*leader)->Fetch(changelog_tp, cursor, 1 << 20, -1, "",
                                  /*read_committed=*/true);
     if (!resp.ok()) return resp.status();
-    if (resp->records.empty()) break;
-    for (const auto& record : resp->records) {
+    records.clear();
+    size_t next_frame = 0;
+    LIQUID_RETURN_NOT_OK(DecodeVisible(resp->batch, resp->aborted, SIZE_MAX,
+                                       &next_frame, &records));
+    for (const auto& record : records) {
       LIQUID_RETURN_NOT_OK(store->ApplyChangelogRecord(record));
       ++restored;
     }
+    // A fetch can hold nothing visible (one made only of aborted data or
+    // markers) and still move the position: stop only once it stands still,
+    // at the end of the log or at an open transaction.
+    if (resp->next_fetch_offset <= cursor) break;
     cursor = resp->next_fetch_offset;
   }
   metrics_.GetCounter("job." + config_.name + ".restored_records")

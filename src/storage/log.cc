@@ -9,6 +9,21 @@
 
 namespace liquid::storage {
 
+namespace {
+
+// Every frame of `segment` in one shared buffer. Truncation and compaction
+// rewrite a segment from these frames byte for byte, never re-encoding.
+Result<EncodedBatch> ReadWholeSegment(const LogSegment& segment) {
+  std::string bytes;
+  std::vector<BatchFrame> frames;
+  LIQUID_RETURN_NOT_OK(segment.ReadEncoded(
+      segment.base_offset(), segment.size_bytes(), &bytes, &frames));
+  return EncodedBatch::FromParts(
+      std::make_shared<const std::string>(std::move(bytes)), std::move(frames));
+}
+
+}  // namespace
+
 Log::Log(Disk* disk, PageCache* cache, std::string name_prefix, LogConfig config,
          Clock* clock)
     : disk_(disk),
@@ -22,7 +37,6 @@ Log::Log(Disk* disk, PageCache* cache, std::string name_prefix, LogConfig config
   while (!instance.empty() && instance.back() == '/') instance.pop_back();
   MetricsRegistry* global = MetricsRegistry::Default();
   const std::string prefix = "liquid.log." + instance + ".";
-  fetch_zero_copy_bytes_ = global->GetCounter(prefix + "fetch_zero_copy_bytes");
   fetch_copied_bytes_ = global->GetCounter(prefix + "fetch_copied_bytes");
   group_commit_batches_ = global->GetCounter(prefix + "group_commit_batches");
   group_commit_syncs_ = global->GetCounter(prefix + "group_commit_syncs");
@@ -101,33 +115,11 @@ Status Log::RollLocked(int64_t base_offset) {
   return Status::OK();
 }
 
-Status Log::AppendRecordsLocked(const std::vector<Record>& records) {
+Status Log::AppendBatchLocked(const EncodedBatch& batch) {
   // Large batches are split at segment boundaries so that a single huge
   // append (e.g. a changelog flush) still produces closed segments that
-  // retention and compaction can work on.
-  size_t i = 0;
-  while (i < records.size()) {
-    if (ActiveLocked()->size_bytes() >= config_.segment_bytes) {
-      LIQUID_RETURN_NOT_OK(RollLocked(records[i].offset));
-    }
-    uint64_t bytes = ActiveLocked()->size_bytes();
-    size_t j = i;
-    while (j < records.size()) {
-      const uint64_t record_bytes = records[j].EncodedSize();
-      if (j > i && bytes + record_bytes > config_.segment_bytes) break;
-      bytes += record_bytes;
-      ++j;
-    }
-    const std::vector<Record> chunk(records.begin() + i, records.begin() + j);
-    LIQUID_RETURN_NOT_OK(ActiveLocked()->Append(chunk));
-    i = j;
-  }
-  return Status::OK();
-}
-
-Status Log::AppendBatchLocked(const EncodedBatch& batch) {
-  // Same segment-boundary splitting as AppendRecordsLocked, but by frame:
-  // each chunk is a cheap view into the shared buffer, never a re-encode.
+  // retention and compaction can work on. Each chunk is a cheap view into
+  // the shared buffer, never a re-encode.
   const std::vector<BatchFrame>& frames = batch.frames();
   size_t i = 0;
   while (i < frames.size()) {
@@ -233,11 +225,6 @@ int64_t Log::durable_offset() const {
   return durable_offset_;
 }
 
-Result<int64_t> Log::Append(std::vector<Record>* records) {
-  LIQUID_ASSIGN_OR_RETURN(EncodedBatch batch, AppendBatch(records));
-  return batch.base_offset();
-}
-
 Result<EncodedBatch> Log::AppendBatch(std::vector<Record>* records,
                                       const AppendOptions& options) {
   if (records->empty()) return Status::InvalidArgument("empty append");
@@ -318,23 +305,6 @@ Result<EncodedBatch> Log::AppendBatch(std::vector<Record>* records,
   return batch;
 }
 
-Status Log::AppendWithOffsets(const std::vector<Record>& records) {
-  if (records.empty()) return Status::OK();
-  MutexLock pipeline_lock(&append_mu_);
-  DrainAppendsLocked();
-  WriterMutexLock lock(&mu_);
-  if (records.front().offset < next_offset_) {
-    return Status::InvalidArgument("offsets overlap existing log");
-  }
-  LIQUID_RETURN_NOT_OK(AppendRecordsLocked(records));
-  next_offset_ = records.back().offset + 1;
-  reserved_offset_ = next_offset_;
-  committed_offset_ = next_offset_;
-  // Follower/replication appends feed the same group-commit window.
-  if (config_.sync_mode == SyncMode::kGroup) committer_cv_.Signal();
-  return Status::OK();
-}
-
 Status Log::AppendEncoded(const EncodedBatch& batch) {
   if (batch.empty()) return Status::OK();
   const int64_t end = batch.last_offset() + 1;
@@ -364,38 +334,6 @@ Status Log::AppendEncoded(const EncodedBatch& batch) {
   return Status::OK();
 }
 
-Status Log::Read(int64_t offset, size_t max_bytes,
-                 std::vector<Record>* out) const {
-  ReaderMutexLock lock(&mu_);
-  offset = std::max(offset, start_offset_);
-  if (offset >= next_offset_) return Status::OK();
-  // Find the segment containing `offset`: greatest base_offset <= offset.
-  auto it = std::upper_bound(segments_.begin(), segments_.end(), offset,
-                             [](int64_t target, const auto& seg) {
-                               return target < seg->base_offset();
-                             });
-  if (it != segments_.begin()) --it;
-  size_t gathered = 0;
-  while (it != segments_.end() && gathered < max_bytes) {
-    const size_t before = out->size();
-    LIQUID_RETURN_NOT_OK((*it)->Read(offset, max_bytes - gathered, out));
-    for (size_t i = before; i < out->size(); ++i) {
-      gathered += (*out)[i].EncodedSize();
-    }
-    // Compaction can leave a segment empty of qualifying records; continue to
-    // the next segment in that case (gathered unchanged).
-    if (out->size() > before) {
-      offset = out->back().offset + 1;
-      // The budget ended inside this segment: stop here. The next segment
-      // would still hand over its first record ("at least one record"), and
-      // the caller's next fetch offset would then skip this segment's rest.
-      if (offset < (*it)->next_offset()) break;
-    }
-    ++it;
-  }
-  return Status::OK();
-}
-
 Status Log::ReadEncoded(int64_t offset, size_t max_bytes,
                         EncodedBatch* out) const {
   ReaderMutexLock lock(&mu_);
@@ -407,20 +345,6 @@ Status Log::ReadEncoded(int64_t offset, size_t max_bytes,
                                return target < seg->base_offset();
                              });
   if (it != segments_.begin()) --it;
-  // Zero-copy fast path: when the requested bytes are resident in the page
-  // cache, the response frames reference the pinned page buffer directly —
-  // no gather copy. Partial responses are legal (callers loop on the next
-  // offset), so one pinned page's worth per call is enough.
-  {
-    Result<EncodedBatch> pinned = (*it)->ReadEncodedPinned(offset, max_bytes);
-    LIQUID_RETURN_NOT_OK(pinned.status());
-    if (!pinned->empty()) {
-      fetch_zero_copy_bytes_->Increment(
-          static_cast<int64_t>(pinned->size_bytes()));
-      *out = std::move(pinned).value();
-      return Status::OK();
-    }
-  }
   std::string bytes;
   std::vector<BatchFrame> frames;
   while (it != segments_.end() && bytes.size() < max_bytes) {
@@ -429,13 +353,15 @@ Status Log::ReadEncoded(int64_t offset, size_t max_bytes,
         (*it)->ReadEncoded(offset, max_bytes - bytes.size(), &bytes, &frames));
     if (frames.size() > before) {
       offset = frames.back().offset + 1;
-      // Same rule as Read: move on only from a segment read to its end.
+      // The budget ended inside this segment: stop here. The next segment
+      // would still hand over its first frame ("at least one frame"), and
+      // the caller's next fetch offset would then skip this segment's rest.
       if (offset < (*it)->next_offset()) break;
     }
     ++it;
   }
   fetch_copied_bytes_->Increment(static_cast<int64_t>(bytes.size()));
-  // liquid-lint: allow(hot-alloc): one shared immutable buffer per fetch is the encode-once zero-copy contract (DESIGN.md); move of the gathered bytes, not a copy.
+  // liquid-lint: allow(hot-alloc): one shared immutable buffer per fetch is the encode-once contract (DESIGN.md section 5); move of the gathered bytes, not a copy.
   *out = EncodedBatch::FromParts(
       std::make_shared<const std::string>(std::move(bytes)), std::move(frames));
   return Status::OK();
@@ -499,39 +425,19 @@ Status Log::Truncate(int64_t offset) {
     LIQUID_RETURN_NOT_OK(segments_.back()->Drop());
     segments_.pop_back();
   }
-  // Partially truncate the now-last segment by rewriting its survivors.
+  // Partially truncate the now-last segment by rewriting its survivors: the
+  // frames below `offset`, byte for byte.
   if (!segments_.empty() && segments_.back()->next_offset() > offset) {
     LogSegment* last = segments_.back().get();
-    std::vector<Record> survivors;
-    std::vector<Record> chunk;
-    int64_t cursor = last->base_offset();
-    while (cursor < offset) {
-      chunk.clear();
-      LIQUID_RETURN_NOT_OK(last->Read(cursor, 1 << 20, &chunk));
-      if (chunk.empty()) break;
-      bool hit_boundary = false;
-      for (Record& record : chunk) {
-        if (record.offset >= offset) {
-          // Gaps (from compaction) can make the first record of a chunk land
-          // beyond the truncation point even though the segment base is below
-          // it; stop here or we would spin forever.
-          hit_boundary = true;
-          break;
-        }
-        survivors.push_back(std::move(record));
-      }
-      if (hit_boundary) break;
-      cursor = survivors.back().offset + 1;
-    }
+    LIQUID_ASSIGN_OR_RETURN(EncodedBatch survivors, ReadWholeSegment(*last));
+    survivors.TrimToOffset(offset);
     const int64_t base = last->base_offset();
     LIQUID_RETURN_NOT_OK(last->Drop());
     segments_.pop_back();
     LogSegment::Config seg_config{config_.index_interval_bytes};
     auto segment = LogSegment::Open(disk_, cache_, name_prefix_, base, seg_config);
     if (!segment.ok()) return segment.status();
-    if (!survivors.empty()) {
-      LIQUID_RETURN_NOT_OK((*segment)->Append(survivors));
-    }
+    LIQUID_RETURN_NOT_OK((*segment)->AppendEncoded(survivors));
     segments_.push_back(std::move(segment).value());
   }
   if (segments_.empty()) {
@@ -583,47 +489,47 @@ Result<CompactionStats> Log::Compact() {
   // Phase 1: build the key -> newest offset map across the WHOLE log (the
   // active segment contributes newest offsets but is never rewritten).
   std::unordered_map<std::string, int64_t> latest;
+  std::vector<Record> records;
   for (const auto& segment : segments_) {
-    int64_t cursor = segment->base_offset();
-    std::vector<Record> chunk;
-    while (cursor < segment->next_offset()) {
-      chunk.clear();
-      LIQUID_RETURN_NOT_OK(segment->Read(cursor, 1 << 20, &chunk));
-      if (chunk.empty()) break;
-      for (const Record& record : chunk) {
-        if (record.has_key) latest[record.key] = record.offset;
-      }
-      cursor = chunk.back().offset + 1;
+    LIQUID_ASSIGN_OR_RETURN(EncodedBatch batch, ReadWholeSegment(*segment));
+    records.clear();
+    LIQUID_RETURN_NOT_OK(batch.DecodeAll(&records));
+    for (const Record& record : records) {
+      if (record.has_key) latest[record.key] = record.offset;
     }
   }
 
-  // Phase 2: rewrite every closed segment keeping only live records.
+  // Phase 2: gather the live frames of every closed segment, byte for byte.
   const size_t closed = segments_.size() - 1;
-  std::vector<Record> survivors;
+  std::string kept;
+  std::vector<BatchFrame> kept_frames;
   for (size_t i = 0; i < closed; ++i) {
     LogSegment* segment = segments_[i].get();
     stats.bytes_before += segment->size_bytes();
-    int64_t cursor = segment->base_offset();
-    std::vector<Record> chunk;
-    while (cursor < segment->next_offset()) {
-      chunk.clear();
-      LIQUID_RETURN_NOT_OK(segment->Read(cursor, 1 << 20, &chunk));
-      if (chunk.empty()) break;
-      for (Record& record : chunk) {
-        ++stats.records_before;
-        bool keep = true;
-        if (record.has_key) {
-          keep = latest[record.key] == record.offset;
-          if (keep && record.is_tombstone && config_.compaction_drops_tombstones) {
-            keep = false;
-          }
+    LIQUID_ASSIGN_OR_RETURN(EncodedBatch batch, ReadWholeSegment(*segment));
+    records.clear();
+    LIQUID_RETURN_NOT_OK(batch.DecodeAll(&records));
+    for (size_t r = 0; r < records.size(); ++r) {
+      const Record& record = records[r];
+      ++stats.records_before;
+      bool keep = true;
+      if (record.has_key) {
+        keep = latest[record.key] == record.offset;
+        if (keep && record.is_tombstone && config_.compaction_drops_tombstones) {
+          keep = false;
         }
-        if (keep) survivors.push_back(std::move(record));
       }
-      cursor = chunk.back().offset + 1;
+      if (!keep) continue;
+      BatchFrame frame = batch.frames()[r];
+      kept.append(batch.buffer()->data() + frame.pos, frame.len);
+      frame.pos = kept.size() - frame.len;
+      kept_frames.push_back(frame);
     }
     ++stats.segments_cleaned;
   }
+  const EncodedBatch survivors = EncodedBatch::FromParts(
+      std::make_shared<const std::string>(std::move(kept)),
+      std::move(kept_frames));
 
   // Phase 3: swap in cleaned segments. (Kafka swaps atomically via .cleaned /
   // .swap files; with the simulated disk we rebuild in place, which is safe
@@ -638,10 +544,8 @@ Result<CompactionStats> Log::Compact() {
   auto cleaned =
       LogSegment::Open(disk_, cache_, name_prefix_, first_base, seg_config);
   if (!cleaned.ok()) return cleaned.status();
-  if (!survivors.empty()) {
-    LIQUID_RETURN_NOT_OK((*cleaned)->Append(survivors));
-  }
-  stats.records_after = static_cast<int64_t>(survivors.size());
+  LIQUID_RETURN_NOT_OK((*cleaned)->AppendEncoded(survivors));
+  stats.records_after = static_cast<int64_t>(survivors.record_count());
   stats.bytes_after = (*cleaned)->size_bytes();
   segments_.insert(segments_.begin(), std::move(cleaned).value());
   start_offset_ = segments_.front()->base_offset();

@@ -105,13 +105,10 @@ class Log {
   ~Log();
 
   /// Appends records in place, assigning consecutive offsets (and the current
-  /// time to records whose timestamp is 0) so the caller sees the assignment.
-  /// Returns the offset of the first record.
-  Result<int64_t> Append(std::vector<Record>* records);
-
-  /// Like Append, but also returns the records' one-time wire encoding as a
-  /// shared immutable buffer (the encode-once hot path: the caller forwards
-  /// the same bytes to followers and replica fetches without re-encoding).
+  /// time to records whose timestamp is 0) so the caller sees the assignment,
+  /// and returns their one-time wire encoding as a shared immutable buffer
+  /// (the encode-once hot path: the caller forwards the same bytes to
+  /// followers without re-encoding).
   LIQUID_HOT_PATH
   Result<EncodedBatch> AppendBatch(std::vector<Record>* records) {
     return AppendBatch(records, AppendOptions{});
@@ -136,22 +133,18 @@ class Log {
   /// would block until the log closes).
   Status AwaitDurable(int64_t end_offset) EXCLUDES(append_mu_);
 
-  /// Appends records that already carry offsets (replication path: followers
-  /// copy the leader's records verbatim, preserving offsets and gaps).
-  Status AppendWithOffsets(const std::vector<Record>& records);
-
   /// Appends a pre-encoded batch carrying offsets (encode-once replication
-  /// path: the leader's bytes land on the follower's disk verbatim).
+  /// path: the leader's bytes land on the follower's disk verbatim, keeping
+  /// its offsets and gaps). Under SyncMode::kEveryBatch the bytes are fsynced
+  /// before this returns.
   Status AppendEncoded(const EncodedBatch& batch);
 
-  /// Reads records with offset in [offset, min(end, offset+...)), gathering up
-  /// to `max_bytes` of encoded data, at least one record when any exists.
-  /// Requests below start_offset() are clamped forward to it (retention may
-  /// have deleted the prefix); requests at or past end_offset() return empty.
-  Status Read(int64_t offset, size_t max_bytes, std::vector<Record>* out) const;
-
-  /// Like Read, but returns the raw encoded frames as a shared buffer without
-  /// materializing Record structs (replica-fetch fast path).
+  /// Reads the encoded frames with offset in [offset, end_offset()), gathering
+  /// up to `max_bytes` (at least one frame when any exists) into one shared
+  /// buffer. Requests below start_offset() are clamped forward to it
+  /// (retention may have deleted the prefix); requests at or past
+  /// end_offset() return an empty batch. Every frame's CRC is checked here,
+  /// once; callers decode with EncodedBatch::DecodeAll.
   LIQUID_HOT_PATH
   Status ReadEncoded(int64_t offset, size_t max_bytes, EncodedBatch* out) const;
 
@@ -187,7 +180,6 @@ class Log {
   Status OpenExisting();
   Status RollLocked(int64_t base_offset) REQUIRES(mu_);
   LogSegment* ActiveLocked() REQUIRES(mu_) { return segments_.back().get(); }
-  Status AppendRecordsLocked(const std::vector<Record>& records) REQUIRES(mu_);
   Status AppendBatchLocked(const EncodedBatch& batch) REQUIRES(mu_);
 
   /// Blocks until no append reservation is outstanding. Callers hold
@@ -250,7 +242,6 @@ class Log {
 
   /// Hot-path metric handles, resolved once at construction
   /// (OBSERVABILITY.md: hot paths never do registry name lookups).
-  Counter* fetch_zero_copy_bytes_;
   Counter* fetch_copied_bytes_;
   Counter* group_commit_batches_;
   Counter* group_commit_syncs_;

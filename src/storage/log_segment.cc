@@ -41,17 +41,13 @@ Result<std::unique_ptr<LogSegment>> LogSegment::Open(
   auto file_result = disk->OpenOrCreate(name);
   if (!file_result.ok()) return file_result.status();
   std::unique_ptr<File> file = std::move(file_result).value();
-  CachedFile* cached = nullptr;
   if (cache != nullptr) {
     // liquid-lint: allow(hot-alloc): one-time segment open on the amortized roll path (once per segment_bytes of appends).
-    auto wrapped = std::make_unique<CachedFile>(std::move(file), cache);
-    cached = wrapped.get();
-    file = std::move(wrapped);
+    file = std::make_unique<CachedFile>(std::move(file), cache);
   }
   // liquid-lint: allow(hot-alloc): one-time segment open on the amortized roll path.
   std::unique_ptr<LogSegment> segment(
       new LogSegment(disk, std::move(file), name, base_offset, config));
-  segment->cached_file_ = cached;
   LIQUID_RETURN_NOT_OK(segment->Recover());
   return segment;
 }
@@ -82,14 +78,13 @@ Status LogSegment::Recover() {
       cursor = Slice(buffer);
       if (cursor.size() < 4 + static_cast<size_t>(length)) break;
     }
-    Record record;
-    Status st = DecodeRecord(&cursor, &record);
+    RecordFrameHeader header;
+    Status st = DecodeRecordHeader(cursor, &header, /*verify_crc=*/true);
     if (!st.ok()) break;  // Corrupt tail: truncate here.
-    const size_t record_bytes = 4 + length;
-    MaybeIndex(record.offset, pos, record.timestamp_ms, record_bytes);
-    next_offset_ = record.offset + 1;
-    max_timestamp_ms_ = std::max(max_timestamp_ms_, record.timestamp_ms);
-    pos += record_bytes;
+    MaybeIndex(header.offset, pos, header.timestamp_ms, header.encoded_size);
+    next_offset_ = header.offset + 1;
+    max_timestamp_ms_ = std::max(max_timestamp_ms_, header.timestamp_ms);
+    pos += header.encoded_size;
   }
   end_pos_ = pos;
   if (pos < file_size) {
@@ -108,26 +103,6 @@ void LogSegment::MaybeIndex(int64_t offset, uint64_t position,
     bytes_since_index_ = 0;
   }
   bytes_since_index_ += record_bytes;
-}
-
-Status LogSegment::Append(const std::vector<Record>& records) {
-  if (records.empty()) return Status::OK();
-  std::string encoded;
-  uint64_t pos = end_pos_;
-  for (const Record& record : records) {
-    if (record.offset < next_offset_) {
-      return Status::InvalidArgument("non-monotonic offset in segment append");
-    }
-    const size_t before = encoded.size();
-    EncodeRecord(record, &encoded);
-    MaybeIndex(record.offset, pos, record.timestamp_ms, encoded.size() - before);
-    pos += encoded.size() - before;
-    next_offset_ = record.offset + 1;
-    max_timestamp_ms_ = std::max(max_timestamp_ms_, record.timestamp_ms);
-  }
-  LIQUID_RETURN_NOT_OK(file_->Append(encoded));
-  end_pos_ = pos;
-  return Status::OK();
 }
 
 Status LogSegment::AppendEncoded(const EncodedBatch& batch) {
@@ -163,53 +138,6 @@ Status LogSegment::Flush() {
                                             std::memory_order_relaxed)) {
   }
   return Status::OK();
-}
-
-Result<EncodedBatch> LogSegment::ReadEncodedPinned(int64_t from_offset,
-                                                   size_t max_bytes) const {
-  EncodedBatch none;
-  if (cached_file_ == nullptr || from_offset >= next_offset_) return none;
-  uint64_t pos = LookupPosition(from_offset);
-  const PageCache::PinnedPage pin = cached_file_->Pin(pos);
-  if (!pin) return none;
-  // The span servable from this pin: the pinned page clamped to committed
-  // segment bytes (the cached tail page can run ahead of end_pos_ only in
-  // recovery scenarios; never serve past the committed end).
-  const uint64_t page_end =
-      std::min<uint64_t>(pin.file_offset + pin.bytes->size(), end_pos_);
-  std::vector<BatchFrame> frames;
-  frames.reserve(
-      static_cast<size_t>(page_end > pos ? page_end - pos : 0) / kMinFrameBytes +
-      1);
-  size_t gathered = 0;
-  while (pos + 4 <= page_end) {
-    const size_t in_page = static_cast<size_t>(pos - pin.file_offset);
-    Slice cursor(pin.bytes->data() + in_page,
-                 static_cast<size_t>(page_end - pos));
-    const uint32_t length = DecodeFixed32(cursor.data());
-    if (pos + 4 + length > page_end) break;  // Record crosses the page edge.
-    RecordFrameHeader header;
-    LIQUID_RETURN_NOT_OK(
-        DecodeRecordHeader(cursor, &header, /*verify_crc=*/true));
-    pos += header.encoded_size;
-    if (header.offset < from_offset) continue;
-    if (gathered > 0 && gathered + header.encoded_size > max_bytes) break;
-    BatchFrame frame;
-    frame.offset = header.offset;
-    frame.timestamp_ms = header.timestamp_ms;
-    frame.leader_epoch = header.leader_epoch;
-    frame.traced = header.traced;
-    frame.is_control = header.is_control;
-    frame.pos = in_page;
-    frame.len = header.encoded_size;
-    frames.push_back(frame);
-    gathered += header.encoded_size;
-    if (gathered >= max_bytes) break;
-  }
-  // No complete qualifying record inside the pinned page: let the caller
-  // fall back to the copying path (which guarantees at least one record).
-  if (frames.empty()) return none;
-  return EncodedBatch::FromParts(pin.bytes, std::move(frames));
 }
 
 Status LogSegment::ReadEncoded(int64_t from_offset, size_t max_bytes,
@@ -280,47 +208,6 @@ uint64_t LogSegment::LookupPosition(int64_t target_offset) const {
   return it->position;
 }
 
-Status LogSegment::Read(int64_t from_offset, size_t max_bytes,
-                        std::vector<Record>* out) const {
-  if (from_offset >= next_offset_) return Status::OK();
-  uint64_t pos = LookupPosition(from_offset);
-  size_t gathered = 0;
-  std::string buffer;
-  uint64_t buffer_base = 0;
-  bool have_buffer = false;
-  while (pos < end_pos_) {
-    if (!have_buffer || pos < buffer_base ||
-        pos - buffer_base + 4 > buffer.size()) {
-      LIQUID_RETURN_NOT_OK(file_->ReadAt(pos, kScanChunkBytes, &buffer));
-      buffer_base = pos;
-      have_buffer = true;
-      if (buffer.size() < 4) break;
-    }
-    Slice cursor(buffer.data() + (pos - buffer_base),
-                 buffer.size() - (pos - buffer_base));
-    const uint32_t length = DecodeFixed32(cursor.data());
-    if (cursor.size() < 4 + static_cast<size_t>(length)) {
-      LIQUID_RETURN_NOT_OK(file_->ReadAt(
-          pos, std::max<size_t>(kScanChunkBytes, 4 + length), &buffer));
-      buffer_base = pos;
-      cursor = Slice(buffer);
-      if (cursor.size() < 4 + static_cast<size_t>(length)) {
-        return Status::Corruption("segment read hit truncated record");
-      }
-    }
-    Record record;
-    LIQUID_RETURN_NOT_OK(DecodeRecord(&cursor, &record));
-    const size_t record_bytes = 4 + length;
-    pos += record_bytes;
-    if (record.offset < from_offset) continue;
-    if (gathered > 0 && gathered + record_bytes > max_bytes) break;
-    out->push_back(std::move(record));
-    gathered += record_bytes;
-    if (gathered >= max_bytes) break;
-  }
-  return Status::OK();
-}
-
 Result<int64_t> LogSegment::OffsetForTimestamp(int64_t ts_ms) const {
   // The sparse time index narrows the scan; then scan records for precision.
   int64_t start = base_offset_;
@@ -332,16 +219,19 @@ Result<int64_t> LogSegment::OffsetForTimestamp(int64_t ts_ms) const {
     --it;
     start = it->offset;
   }
-  std::vector<Record> records;
+  // Frame headers carry the timestamp: no payload is decoded.
+  std::string bytes;
+  std::vector<BatchFrame> frames;
   int64_t cursor = start;
   while (cursor < next_offset_) {
-    records.clear();
-    LIQUID_RETURN_NOT_OK(Read(cursor, kScanChunkBytes, &records));
-    if (records.empty()) break;
-    for (const Record& record : records) {
-      if (record.timestamp_ms >= ts_ms) return record.offset;
+    bytes.clear();
+    frames.clear();
+    LIQUID_RETURN_NOT_OK(ReadEncoded(cursor, kScanChunkBytes, &bytes, &frames));
+    if (frames.empty()) break;
+    for (const BatchFrame& frame : frames) {
+      if (frame.timestamp_ms >= ts_ms) return frame.offset;
     }
-    cursor = records.back().offset + 1;
+    cursor = frames.back().offset + 1;
   }
   return Status::NotFound("no record at or after timestamp");
 }

@@ -44,36 +44,18 @@ class LogSegment {
   LogSegment(const LogSegment&) = delete;
   LogSegment& operator=(const LogSegment&) = delete;
 
-  /// Appends records whose offsets are already assigned (ascending, all
-  /// >= next_offset()). Gaps are legal: compaction produces them.
-  Status Append(const std::vector<Record>& records);
-
   /// Appends a pre-encoded batch (encode-once path): the batch bytes go to
   /// the file verbatim in one write, and the index is fed from the batch's
   /// frame metadata — no re-encode, no Record materialization.
   Status AppendEncoded(const EncodedBatch& batch);
 
-  /// Like Read, but collects the raw encoded frames into `buf` (appending)
-  /// plus their framing into `frames` (positions relative to `buf`), without
-  /// materializing key/value strings. CRCs are verified while scanning.
+  /// Collects the raw encoded frames with offset >= from_offset into `buf`
+  /// (appending) plus their framing into `frames` (positions relative to
+  /// `buf`), until `max_bytes` have been gathered (at least one frame if any
+  /// qualifies). Key/value strings are never materialized. This is where the
+  /// read path checks each frame's CRC, once; decoders downstream do not.
   Status ReadEncoded(int64_t from_offset, size_t max_bytes, std::string* buf,
                      std::vector<BatchFrame>* frames) const;
-
-  /// Zero-copy read: when the bytes holding `from_offset` are resident in the
-  /// page cache, returns an EncodedBatch whose buffer IS the pinned page —
-  /// frames reference it directly, and the pin keeps the bytes alive and
-  /// immutable across later appends, eviction and invalidation (the cache
-  /// clones a pinned page before extending it). Returns an empty batch when
-  /// the fast path does not apply — no cache, a cache miss, or the first
-  /// qualifying record crossing the page edge — so callers fall back to the
-  /// copying ReadEncoded. CRCs are verified while parsing, like ReadEncoded.
-  Result<EncodedBatch> ReadEncodedPinned(int64_t from_offset,
-                                         size_t max_bytes) const;
-
-  /// Collects records with offset >= from_offset until `max_bytes` of encoded
-  /// data have been gathered (at least one record if any qualifies).
-  Status Read(int64_t from_offset, size_t max_bytes,
-              std::vector<Record>* out) const;
 
   /// First offset whose record timestamp is >= ts_ms, or NotFound.
   Result<int64_t> OffsetForTimestamp(int64_t ts_ms) const;
@@ -127,9 +109,6 @@ class LogSegment {
 
   Disk* disk_;
   std::unique_ptr<File> file_;
-  /// Set when file_ is a CachedFile (page cache present): the typed handle
-  /// the zero-copy read path pins pages through. Owned by file_.
-  CachedFile* cached_file_ = nullptr;
   std::string file_name_;
   int64_t base_offset_;
   Config config_;

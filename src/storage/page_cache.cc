@@ -23,8 +23,8 @@ void PageCache::InsertPage(uint64_t key, std::string bytes, int64_t write_ms) {
   auto it = pages_.find(key);
   if (it != pages_.end()) {
     bytes_cached_ -= it->second.bytes->size();
-    // Replace the buffer wholesale (never mutate): outstanding pins keep the
-    // old buffer alive and see a frozen snapshot.
+    // Replace the buffer wholesale (never mutate): a reader still copying
+    // out of the old buffer keeps it alive and sees a frozen snapshot.
     it->second.bytes = std::make_shared<std::string>(std::move(bytes));
     it->second.handed_out = false;
     if (write_ms != 0) {
@@ -137,17 +137,6 @@ Status PageCache::Read(uint64_t file_id, const File& file, uint64_t offset,
   return Status::OK();
 }
 
-PageCache::PinnedPage PageCache::Pin(uint64_t file_id, uint64_t offset) {
-  const uint64_t page_no = offset / config_.page_size;
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = pages_.find(MakeKey(file_id, page_no));
-  if (it == pages_.end()) return PinnedPage{};
-  Touch(&it->second);
-  ++hits_;
-  it->second.handed_out = true;
-  return PinnedPage{it->second.bytes, page_no * config_.page_size};
-}
-
 void PageCache::NoteAppend(uint64_t file_id, uint64_t offset, const Slice& data) {
   if (data.empty()) return;
   const size_t page_size = config_.page_size;
@@ -181,7 +170,7 @@ void PageCache::NoteAppend(uint64_t file_id, uint64_t offset, const Slice& data)
     if (!page.bytes) {
       page.bytes = std::make_shared<std::string>();
     } else if (page.handed_out) {
-      // Copy-on-extend: a pin or a Read copy may still use this buffer, or
+      // Copy-on-extend: a Read copy may still use this buffer, or
       // may have used it with no synchronization since, so never mutate it
       // in place — clone first, bounded by page_size. References are only
       // handed out under mu_, which we hold.

@@ -37,18 +37,6 @@ struct PageCacheConfig {
 /// NewFileId(). Use CachedFile to wrap a File with transparent caching.
 class PageCache {
  public:
-  /// A refcounted view of one cache-resident page, for zero-copy reads. The
-  /// pin keeps `bytes` alive and immutable for as long as it is held: the
-  /// append path never mutates a pinned buffer in place (it clones the page
-  /// first — copy-on-extend), and eviction/invalidation only drop the
-  /// cache's own reference. `file_offset` is the file position of the
-  /// buffer's first byte.
-  struct PinnedPage {
-    std::shared_ptr<const std::string> bytes;
-    uint64_t file_offset = 0;
-    explicit operator bool() const { return bytes != nullptr; }
-  };
-
   PageCache(PageCacheConfig config, Clock* clock);
 
   PageCache(const PageCache&) = delete;
@@ -60,12 +48,6 @@ class PageCache {
   /// Misses read from disk with read-ahead and populate the cache.
   Status Read(uint64_t file_id, const File& file, uint64_t offset, size_t n,
               std::string* out);
-
-  /// Pins the resident page containing byte `offset` of `file_id`; returns an
-  /// empty pin on a cache miss (callers fall back to the copying Read path,
-  /// which populates the cache). Counts as a cache hit when it succeeds; a
-  /// miss is not counted here because the fallback read counts it.
-  PinnedPage Pin(uint64_t file_id, uint64_t offset);
 
   /// Records bytes just appended to `file` at `offset` so the head of the log
   /// stays in RAM (write path populates the cache, as the OS cache would).
@@ -84,11 +66,12 @@ class PageCache {
 
  private:
   struct Page {
-    /// Shared so Pin() can hand out refcounted views. NoteAppend extends the
-    /// buffer in place only while it has never been handed out; otherwise it
-    /// clones first, so a buffer a reader has seen is never mutated.
+    /// Shared so Read() can copy out of a page with the cache mutex released.
+    /// NoteAppend extends the buffer in place only while it has never been
+    /// handed out; otherwise it clones first, so a buffer a reader has seen
+    /// is never mutated.
     std::shared_ptr<std::string> bytes;
-    /// Set when Pin() or Read() hands `bytes` out, cleared when NoteAppend
+    /// Set when Read() hands `bytes` out, cleared when NoteAppend
     /// or InsertPage installs a fresh buffer. A flag rather than
     /// use_count(): that count is a relaxed load, so seeing it drop to 1
     /// does not order a former reader's accesses before an in-place write.
@@ -133,12 +116,6 @@ class CachedFile : public File {
   uint64_t Size() const override;
   Status Sync() override;
   Status Truncate(uint64_t size) override;
-
-  /// Zero-copy read support: pins the cache-resident page containing byte
-  /// `offset`; empty on a cache miss. See PageCache::Pin.
-  PageCache::PinnedPage Pin(uint64_t offset) const {
-    return cache_->Pin(file_id_, offset);
-  }
 
  private:
   std::unique_ptr<File> base_;

@@ -52,7 +52,7 @@ void EncodeRecord(const Record& record, std::string* dst) {
   dst->append(body);
 }
 
-Status DecodeRecord(Slice* input, Record* record) {
+Status DecodeRecord(Slice* input, Record* record, bool verify_crc) {
   if (input->empty()) return Status::OutOfRange("no more records");
   if (input->size() < 8) return Status::Corruption("record header truncated");
   uint32_t length = 0;
@@ -66,8 +66,8 @@ Status DecodeRecord(Slice* input, Record* record) {
   uint32_t masked_crc = 0;
   LIQUID_RETURN_NOT_OK(GetFixed32(&peek, &masked_crc));
   const Slice body(peek.data(), length - 4);
-  const uint32_t actual = crc32c::Value(body.data(), body.size());
-  if (crc32c::Unmask(masked_crc) != actual) {
+  if (verify_crc &&
+      crc32c::Unmask(masked_crc) != crc32c::Value(body.data(), body.size())) {
     return Status::Corruption("record crc mismatch");
   }
 
@@ -143,20 +143,6 @@ Status DecodeRecordHeader(Slice input, RecordFrameHeader* header,
   header->is_control = (attrs & kAttrControl) != 0;
   header->traced = (attrs & kAttrTraced) != 0;
   header->encoded_size = 4 + static_cast<size_t>(length);
-  return Status::OK();
-}
-
-Status DecodeRecords(Slice input, std::vector<Record>* records) {
-  while (!input.empty()) {
-    // A truncated tail (from a size-limited fetch) is expected: stop cleanly
-    // when the remaining bytes cannot hold the next full record.
-    if (input.size() < 4) break;
-    const uint32_t length = DecodeFixed32(input.data());
-    if (input.size() < 4 + static_cast<size_t>(length)) break;
-    Record record;
-    LIQUID_RETURN_NOT_OK(DecodeRecord(&input, &record));
-    records->push_back(std::move(record));
-  }
   return Status::OK();
 }
 

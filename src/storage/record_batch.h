@@ -75,12 +75,13 @@ class EncodedBatch {
   const std::vector<BatchFrame>& frames() const { return frames_; }
   const std::shared_ptr<const std::string>& buffer() const { return buffer_; }
 
-  /// Decodes every frame into `out` (appending). Wire-format round trip;
-  /// used by consumer-facing paths and tests.
+  /// Decodes every frame into `out` (appending). CRCs are not checked again:
+  /// every batch is either freshly encoded or gathered by
+  /// LogSegment::ReadEncoded, which verifies each frame's CRC once.
   Status DecodeAll(std::vector<Record>* out) const;
 
   /// Decodes the i-th frame only (e.g. to re-emit a traced record's span
-  /// without materializing the rest of the batch).
+  /// without materializing the rest of the batch). No CRC check, as DecodeAll.
   Result<Record> DecodeFrame(size_t i) const;
 
   /// Drops trailing frames with offset >= bound (visibility clamp: high

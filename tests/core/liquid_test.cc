@@ -218,15 +218,16 @@ TEST_F(LiquidTest, RunMaintenanceCompactsAndEvicts) {
   auto fetch_before = (*leader)->Fetch(tp, 0, 100 << 20, -1);
   ASSERT_TRUE(liquid_->RunMaintenance().ok());
   auto fetch_after = (*leader)->Fetch(tp, 0, 100 << 20, -1);
-  EXPECT_LT(fetch_after->records.size(), fetch_before->records.size());
+  EXPECT_LT(fetch_after->batch.record_count(),
+            fetch_before->batch.record_count());
   // The materialized view is intact: 20 distinct keys with latest values.
   std::set<std::string> keys;
   int64_t cursor = 0;
   while (true) {
     auto fetch = (*leader)->Fetch(tp, cursor, 1 << 20, -1);
-    if (!fetch.ok() || fetch->records.empty()) break;
-    for (const auto& record : fetch->records) keys.insert(record.key);
-    cursor = fetch->records.back().offset + 1;
+    if (!fetch.ok() || fetch->batch.empty()) break;
+    for (const auto& record : FetchedRecords(*fetch)) keys.insert(record.key);
+    cursor = fetch->next_fetch_offset;
   }
   EXPECT_EQ(keys.size(), 20u);
 }

@@ -89,7 +89,7 @@ TEST_F(BrokerAclTest, AuthorizedClientWorks) {
   Broker* leader = *cluster_->LeaderFor(tp_);
   auto fetch = leader->Fetch(tp_, 0, 4096, -1, "team-a");
   ASSERT_TRUE(fetch.ok());
-  EXPECT_EQ(fetch->records.size(), 1u);
+  EXPECT_EQ(fetch->batch.record_count(), 1u);
 }
 
 TEST_F(BrokerAclTest, UnauthorizedWriteRejected) {

@@ -61,9 +61,9 @@ class FailoverTest : public ::testing::Test {
     int64_t cursor = 0;
     while (true) {
       auto fetch = (*leader)->Fetch(tp, cursor, 1 << 20, -1);
-      if (!fetch.ok() || fetch->records.empty()) break;
-      total += static_cast<int64_t>(fetch->records.size());
-      cursor = fetch->records.back().offset + 1;
+      if (!fetch.ok() || fetch->batch.empty()) break;
+      total += static_cast<int64_t>(fetch->batch.record_count());
+      cursor = fetch->next_fetch_offset;
     }
     return total;
   }

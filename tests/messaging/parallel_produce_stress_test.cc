@@ -209,12 +209,15 @@ TEST_F(ParallelProduceStressTest, SharedBufferFetchMatchesDeepCopyBytes) {
   ASSERT_EQ(replica_fetch->batch.record_count(), 4u);
   const Slice shared = replica_fetch->batch.bytes();
 
-  // Legacy path: deep-copied Record structs, re-encoded.
+  // Consumer path: the same stored bytes, and they decode losslessly.
   auto consumer_fetch = broker->Fetch(tp, 0, 1 << 20, -1);
   LIQUID_ASSERT_OK(consumer_fetch);
-  ASSERT_EQ(consumer_fetch->records.size(), 4u);
+  ASSERT_EQ(consumer_fetch->batch.record_count(), 4u);
+  const Slice served = consumer_fetch->batch.bytes();
+  EXPECT_EQ(std::string(served.data(), served.size()),
+            std::string(shared.data(), shared.size()));
   std::string reencoded;
-  for (const storage::Record& record : consumer_fetch->records) {
+  for (const storage::Record& record : FetchedRecords(*consumer_fetch)) {
     storage::EncodeRecord(record, &reencoded);
   }
   EXPECT_EQ(std::string(shared.data(), shared.size()), reencoded);

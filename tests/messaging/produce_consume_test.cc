@@ -164,6 +164,47 @@ TEST_F(ProduceConsumeTest, ConsumerSeekRewindsAndRereads) {
   EXPECT_EQ(again->front().record.offset, 5);
 }
 
+TEST_F(ProduceConsumeTest, SmallPollsServeTheRestOfTheLastFetch) {
+  // The undelivered frames of a fetch are kept and served first: one-record
+  // polls over 100 records cost the broker 100 served frames, not the
+  // ~5,050 of refetching the whole tail each time.
+  CreateTopic("t", 1);
+  Producer producer(cluster_.get(), ProducerConfig{});
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(
+        producer.Send("t", storage::Record::KeyValue("k", std::to_string(i)))
+            .ok());
+  }
+  ASSERT_TRUE(producer.Flush().ok());
+  cluster_->ReplicationTick();
+  const TopicPartition tp{"t", 0};
+  Counter* served = (*cluster_->LeaderFor(tp))->metrics()->GetCounter(
+      "fetch.records");
+  const int64_t served_before = served->value();
+
+  auto consumer = NewConsumer("g", "c1");
+  ASSERT_TRUE(consumer->Subscribe({"t"}).ok());
+  for (int i = 0; i < 100; ++i) {
+    auto records = consumer->Poll(1);
+    ASSERT_TRUE(records.ok());
+    ASSERT_EQ(records->size(), 1u);
+    EXPECT_EQ((*records)[0].record.offset, i);
+  }
+  EXPECT_TRUE(consumer->Poll(1)->empty());
+  EXPECT_EQ(served->value() - served_before, 100);
+
+  // A Seek after a partial poll drops the kept frames: the next poll starts
+  // at the sought offset, not where the kept frames left off.
+  ASSERT_TRUE(consumer->Seek(tp, 0).ok());
+  ASSERT_EQ(consumer->Poll(1)->size(), 1u);
+  ASSERT_TRUE(consumer->Seek(tp, 42).ok());
+  auto sought = consumer->Poll(1);
+  ASSERT_TRUE(sought.ok());
+  ASSERT_EQ(sought->size(), 1u);
+  EXPECT_EQ((*sought)[0].record.offset, 42);
+  EXPECT_EQ(*consumer->Position(tp), 43);
+}
+
 TEST_F(ProduceConsumeTest, SeekToTimestampFindsData) {
   CreateTopic("t", 1);
   Producer producer(cluster_.get(), ProducerConfig{});
@@ -239,13 +280,13 @@ TEST_F(ProduceConsumeTest, FetchSeesOnlyCommittedData) {
   // No replication tick yet: HW is still 0, consumers see nothing.
   auto fetch = (*leader)->Fetch(tp, 0, 1 << 20, -1);
   ASSERT_TRUE(fetch.ok());
-  EXPECT_TRUE(fetch->records.empty());
+  EXPECT_TRUE(fetch->batch.empty());
   EXPECT_EQ(fetch->log_end_offset, 1);
 
   cluster_->ReplicationTick();
   cluster_->ReplicationTick();  // Second tick advances HW from follower LEOs.
   fetch = (*leader)->Fetch(tp, 0, 1 << 20, -1);
-  EXPECT_EQ(fetch->records.size(), 1u);
+  EXPECT_EQ(fetch->batch.record_count(), 1u);
 }
 
 TEST_F(ProduceConsumeTest, ProducerRetriesAfterLeaderFailover) {

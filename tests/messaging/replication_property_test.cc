@@ -105,8 +105,8 @@ TEST_P(ReplicationPropertyTest, InvariantsHoldUnderRandomFaults) {
   while (cursor < hw) {
     auto fetch = (*leader)->Fetch(tp, cursor, 1 << 20, -1);
     ASSERT_TRUE(fetch.ok());
-    if (fetch->records.empty()) break;
-    for (const auto& record : fetch->records) {
+    if (fetch->batch.empty()) break;
+    for (const auto& record : FetchedRecords(*fetch)) {
       if (!all.empty()) {
         EXPECT_GT(record.offset, all.back().offset);
       }

@@ -172,7 +172,7 @@ TEST_F(ReplicationTest, ToleratesNMinus1FailuresWithAcksAll) {
   ASSERT_TRUE(leader.ok());
   auto fetch = (*leader)->Fetch(tp, 0, 1 << 20, -1);
   ASSERT_TRUE(fetch.ok());
-  EXPECT_EQ(fetch->records.size(), 3u);
+  EXPECT_EQ(fetch->batch.record_count(), 3u);
 }
 
 TEST_F(ReplicationTest, FollowerRejectsStaleEpochPush) {
@@ -186,8 +186,8 @@ TEST_F(ReplicationTest, FollowerRejectsStaleEpochPush) {
   std::vector<storage::Record> records{storage::Record::KeyValue("k", "v")};
   records[0].offset = 0;
   // Push with an epoch lower than current: rejected.
-  Status st = cluster_->broker(follower)->AppendAsFollower(
-      tp, records, state->leader_epoch - 1, 0);
+  Status st = cluster_->broker(follower)->AppendEncodedAsFollower(
+      tp, storage::EncodedBatch::Encode(records), state->leader_epoch - 1, 0);
   EXPECT_TRUE(st.IsFailedPrecondition());
 }
 
@@ -201,8 +201,8 @@ TEST_F(ReplicationTest, FollowerBehindPushSignalsOutOfRange) {
   }
   std::vector<storage::Record> records{storage::Record::KeyValue("k", "v")};
   records[0].offset = 10;  // Follower log is empty: a gap.
-  Status st = cluster_->broker(follower)->AppendAsFollower(
-      tp, records, state->leader_epoch, 0);
+  Status st = cluster_->broker(follower)->AppendEncodedAsFollower(
+      tp, storage::EncodedBatch::Encode(records), state->leader_epoch, 0);
   EXPECT_TRUE(st.IsOutOfRange());
 }
 
@@ -216,12 +216,13 @@ TEST_F(ReplicationTest, DuplicatePushIsIdempotent) {
   }
   std::vector<storage::Record> records{storage::Record::KeyValue("k", "v")};
   records[0].offset = 0;
+  const storage::EncodedBatch batch = storage::EncodedBatch::Encode(records);
   ASSERT_TRUE(cluster_->broker(follower)
-                  ->AppendAsFollower(tp, records, state->leader_epoch, 0)
+                  ->AppendEncodedAsFollower(tp, batch, state->leader_epoch, 0)
                   .ok());
   // Same push again (leader retry): no duplicate append.
   ASSERT_TRUE(cluster_->broker(follower)
-                  ->AppendAsFollower(tp, records, state->leader_epoch, 0)
+                  ->AppendEncodedAsFollower(tp, batch, state->leader_epoch, 0)
                   .ok());
   EXPECT_EQ(*cluster_->broker(follower)->LogEndOffset(tp), 1);
 }
@@ -273,9 +274,11 @@ TEST_F(ReplicationTest, Kip101TruncatesDivergentSuffixBelowLeaderLeo) {
   int64_t cursor = 0;
   while (true) {
     auto fetch = (*leader)->Fetch(tp, cursor, 1 << 20, -1);
-    if (!fetch.ok() || fetch->records.empty()) break;
-    for (const auto& record : fetch->records) values.push_back(record.value);
-    cursor = fetch->records.back().offset + 1;
+    if (!fetch.ok() || fetch->batch.empty()) break;
+    for (const auto& record : FetchedRecords(*fetch)) {
+      values.push_back(record.value);
+    }
+    cursor = fetch->next_fetch_offset;
   }
   ASSERT_EQ(values.size(), 3u);
   EXPECT_EQ(values[0], "common");
@@ -321,8 +324,9 @@ TEST_F(ReplicationTest, RecordsCarryLeaderEpoch) {
   cluster_->ReplicationTick();
   auto fetch = (*leader)->Fetch(tp, 0, 1 << 20, -1);
   ASSERT_TRUE(fetch.ok());
-  ASSERT_EQ(fetch->records.size(), 2u);
-  EXPECT_LT(fetch->records[0].leader_epoch, fetch->records[1].leader_epoch);
+  const std::vector<storage::Record> records = FetchedRecords(*fetch);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_LT(records[0].leader_epoch, records[1].leader_epoch);
 }
 
 }  // namespace

@@ -227,6 +227,36 @@ TEST_F(TransactionTest, ControlMarkersNeverDelivered) {
   }
 }
 
+TEST_F(TransactionTest, ReplicatedMarkerSurvivesFollowerCrash) {
+  // Followers count toward the high watermark once they hold the marker, so
+  // under every_batch the marker must be fsynced on them like any pushed
+  // data: a power-cycled follower comes back with the leader's full log.
+  TopicConfig topic;
+  topic.partitions = 1;
+  topic.replication_factor = 3;
+  topic.log.sync_mode = storage::SyncMode::kEveryBatch;
+  ASSERT_TRUE(cluster_->CreateTopic("durable", topic).ok());
+  auto producer = NewTxnProducer("t1");
+  LIQUID_ASSERT_OK(producer->BeginTransaction());
+  LIQUID_ASSERT_OK(
+      producer->Send("durable", storage::Record::KeyValue("k", "v")));
+  LIQUID_ASSERT_OK(producer->CommitTransaction());
+
+  const TopicPartition tp{"durable", 0};
+  auto state = cluster_->GetPartitionState(tp);
+  ASSERT_TRUE(state.ok());
+  auto leader_leo = cluster_->broker(state->leader)->LogEndOffset(tp);
+  LIQUID_ASSERT_OK(leader_leo.status());
+  for (int replica : state->replicas) {
+    if (replica == state->leader) continue;
+    LIQUID_ASSERT_OK(cluster_->StopBroker(replica));
+    cluster_->disk(replica)->SimulateCrash();
+    LIQUID_ASSERT_OK(cluster_->RestartBroker(replica));
+    EXPECT_EQ(*cluster_->broker(replica)->LogEndOffset(tp), *leader_leo)
+        << "follower " << replica;
+  }
+}
+
 TEST_F(TransactionTest, CoordinatorStateMachineGuards) {
   EXPECT_TRUE(txn_->Begin("unknown").IsNotFound());
   ASSERT_TRUE(txn_->InitProducer("t").ok());

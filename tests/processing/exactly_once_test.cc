@@ -195,5 +195,46 @@ TEST_F(ExactlyOnceTest, StatefulExactlyOnceCountsAreExact) {
   ASSERT_TRUE((*job)->Stop().ok());
 }
 
+TEST_F(ExactlyOnceTest,
+       RestoreReadsPastAnAbortedTransactionLargerThanOneFetch) {
+  // An aborted transaction bigger than one 1 MiB restore fetch leaves a
+  // read_committed fetch with nothing visible; the restore must keep going
+  // to the committed entry behind it.
+  JobConfig config;
+  config.name = "eo-counter";
+  config.inputs = {"in"};
+  config.exactly_once = true;
+  config.stores = {{"counts", StoreConfig::Kind::kInMemory, true}};
+  CreateTopic(Job::ChangelogTopic("eo-counter", "counts"), 1);
+
+  messaging::ProducerConfig writer_config;
+  writer_config.transactional_id = "changelog-writer";
+  messaging::Producer writer(cluster_.get(), writer_config);
+  LIQUID_ASSERT_OK(writer.InitTransactions(txn_.get()));
+  LIQUID_ASSERT_OK(writer.BeginTransaction());
+  for (int i = 0; i < 400; ++i) {
+    LIQUID_ASSERT_OK(
+        writer.Send(Job::ChangelogTopic("eo-counter", "counts"),
+                    Record::KeyValue("user", std::string(4096, 'x'))));
+  }
+  LIQUID_ASSERT_OK(writer.AbortTransaction());
+  LIQUID_ASSERT_OK(writer.BeginTransaction());
+  LIQUID_ASSERT_OK(writer.Send(Job::ChangelogTopic("eo-counter", "counts"),
+                               Record::KeyValue("user", "7")));
+  LIQUID_ASSERT_OK(writer.CommitTransaction());
+
+  Produce("in", {Record::KeyValue("user", "e")});
+  auto job = Job::Create(
+      cluster_.get(), offsets_.get(), coordinator_.get(), &state_disk_, config,
+      [] { return std::make_unique<KeyedCounterTask>("counts"); }, "0",
+      txn_.get());
+  LIQUID_ASSERT_OK(job.status());
+  ASSERT_TRUE((*job)->RunUntilIdle().ok());
+  KeyValueStore* store = (*job)->GetStore(0, "counts");
+  ASSERT_NE(store, nullptr);
+  EXPECT_EQ(*store->Get("user"), "8");  // Restored 7, plus one input.
+  ASSERT_TRUE((*job)->Stop().ok());
+}
+
 }  // namespace
 }  // namespace liquid::processing

@@ -30,7 +30,7 @@ class LogCompactionTest : public ::testing::Test {
   std::map<std::string, std::pair<std::string, bool>> Materialize(Log* log) {
     std::map<std::string, std::pair<std::string, bool>> view;
     std::vector<Record> out;
-    LIQUID_EXPECT_OK(log->Read(log->start_offset(), 100 << 20, &out));
+    LIQUID_EXPECT_OK(ReadRecords(*log, log->start_offset(), 100 << 20, &out));
     for (const Record& r : out) {
       view[r.key] = {r.value, r.is_tombstone};
     }
@@ -51,7 +51,7 @@ TEST_F(LogCompactionTest, KeepsOnlyLatestPerKey) {
           "key" + std::to_string(k),
           "round" + std::to_string(round)));
     }
-    ASSERT_TRUE(log->Append(&batch).ok());
+    ASSERT_TRUE(log->AppendBatch(&batch).ok());
   }
   const auto before = Materialize(log.get());
   auto stats = log->Compact();
@@ -74,13 +74,13 @@ TEST_F(LogCompactionTest, OffsetsPreservedWithGaps) {
     for (int k = 0; k < 5; ++k) {
       batch.push_back(Record::KeyValue("key" + std::to_string(k), "x"));
     }
-    LIQUID_ASSERT_OK(log->Append(&batch));
+    LIQUID_ASSERT_OK(log->AppendBatch(&batch));
   }
   const int64_t end_before = log->end_offset();
   LIQUID_ASSERT_OK(log->Compact());
   EXPECT_EQ(log->end_offset(), end_before);  // End offset untouched.
   std::vector<Record> out;
-  LIQUID_ASSERT_OK(log->Read(0, 100 << 20, &out));
+  LIQUID_ASSERT_OK(ReadRecords(*log, 0, 100 << 20, &out));
   // Offsets strictly increasing (gaps allowed).
   for (size_t i = 1; i < out.size(); ++i) {
     EXPECT_LT(out[i - 1].offset, out[i].offset);
@@ -91,12 +91,12 @@ TEST_F(LogCompactionTest, ActiveSegmentNeverRewritten) {
   auto log = OpenCompactedLog(1 << 20);  // One big segment: nothing closed.
   std::vector<Record> batch{Record::KeyValue("a", "1"),
                             Record::KeyValue("a", "2")};
-  LIQUID_ASSERT_OK(log->Append(&batch));
+  LIQUID_ASSERT_OK(log->AppendBatch(&batch));
   auto stats = log->Compact();
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->segments_cleaned, 0);
   std::vector<Record> out;
-  LIQUID_ASSERT_OK(log->Read(0, 1 << 20, &out));
+  LIQUID_ASSERT_OK(ReadRecords(*log, 0, 1 << 20, &out));
   EXPECT_EQ(out.size(), 2u);  // Both survive: active segment untouched.
 }
 
@@ -107,14 +107,14 @@ TEST_F(LogCompactionTest, TombstonesKeptByDefault) {
     for (int k = 0; k < 5; ++k) {
       batch.push_back(Record::KeyValue("key" + std::to_string(k), "x"));
     }
-    LIQUID_ASSERT_OK(log->Append(&batch));
+    LIQUID_ASSERT_OK(log->AppendBatch(&batch));
   }
   std::vector<Record> del{Record::Tombstone("key0")};
-  LIQUID_ASSERT_OK(log->Append(&del));
+  LIQUID_ASSERT_OK(log->AppendBatch(&del));
   // Push the tombstone out of the active segment.
   for (int i = 0; i < 10; ++i) {
     std::vector<Record> filler{Record::KeyValue("other", "y")};
-    LIQUID_ASSERT_OK(log->Append(&filler));
+    LIQUID_ASSERT_OK(log->AppendBatch(&filler));
   }
   LIQUID_ASSERT_OK(log->Compact());
   const auto view = Materialize(log.get());
@@ -129,14 +129,14 @@ TEST_F(LogCompactionTest, TombstonesDroppedWhenConfigured) {
     for (int k = 0; k < 5; ++k) {
       batch.push_back(Record::KeyValue("key" + std::to_string(k), "x"));
     }
-    LIQUID_ASSERT_OK(log->Append(&batch));
+    LIQUID_ASSERT_OK(log->AppendBatch(&batch));
   }
   std::vector<Record> del{Record::Tombstone("key0")};
-  LIQUID_ASSERT_OK(log->Append(&del));
+  LIQUID_ASSERT_OK(log->AppendBatch(&del));
   // Enough filler to roll the tombstone's segment out of the active position.
   for (int i = 0; i < 60; ++i) {
     std::vector<Record> filler{Record::KeyValue("other", "y")};
-    LIQUID_ASSERT_OK(log->Append(&filler));
+    LIQUID_ASSERT_OK(log->AppendBatch(&filler));
   }
   ASSERT_GT(log->segment_count(), 2);
   LIQUID_ASSERT_OK(log->Compact());
@@ -152,12 +152,12 @@ TEST_F(LogCompactionTest, DisabledCompactionIsNoOp) {
   for (int i = 0; i < 100; ++i) {
     batch.push_back(Record::KeyValue("samekey", "v"));
   }
-  LIQUID_ASSERT_OK((*log)->Append(&batch));
+  LIQUID_ASSERT_OK((*log)->AppendBatch(&batch));
   auto stats = (*log)->Compact();
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->segments_cleaned, 0);
   std::vector<Record> out;
-  LIQUID_ASSERT_OK((*log)->Read(0, 100 << 20, &out));
+  LIQUID_ASSERT_OK(ReadRecords(**log, 0, 100 << 20, &out));
   EXPECT_EQ(out.size(), 100u);
 }
 
@@ -169,7 +169,7 @@ TEST_F(LogCompactionTest, RepeatedCompactionIsIdempotent) {
       batch.push_back(Record::KeyValue("key" + std::to_string(k),
                                        "r" + std::to_string(round)));
     }
-    LIQUID_ASSERT_OK(log->Append(&batch));
+    LIQUID_ASSERT_OK(log->AppendBatch(&batch));
   }
   LIQUID_ASSERT_OK(log->Compact());
   const auto first = Materialize(log.get());
@@ -183,7 +183,7 @@ TEST_F(LogCompactionTest, ValueOnlyRecordsSurviveCompaction) {
   auto log = OpenCompactedLog();
   for (int i = 0; i < 50; ++i) {
     std::vector<Record> batch{Record::ValueOnly("event" + std::to_string(i))};
-    LIQUID_ASSERT_OK(log->Append(&batch));
+    LIQUID_ASSERT_OK(log->AppendBatch(&batch));
   }
   auto stats = log->Compact();
   ASSERT_TRUE(stats.ok());
@@ -200,7 +200,7 @@ TEST_F(LogCompactionTest, ZipfWorkloadShrinksDramatically) {
       batch.push_back(Record::KeyValue("user" + std::to_string(zipf.Next()),
                                        "profile-update"));
     }
-    LIQUID_ASSERT_OK(log->Append(&batch));
+    LIQUID_ASSERT_OK(log->AppendBatch(&batch));
   }
   const uint64_t before = log->size_bytes();
   LIQUID_ASSERT_OK(log->Compact());
@@ -218,7 +218,7 @@ TEST_F(LogCompactionTest, ReadAfterCompactionAcrossReopen) {
         batch.push_back(Record::KeyValue("key" + std::to_string(k),
                                          "r" + std::to_string(round)));
       }
-      LIQUID_ASSERT_OK(log->Append(&batch));
+      LIQUID_ASSERT_OK(log->AppendBatch(&batch));
     }
     LIQUID_ASSERT_OK(log->Compact());
   }

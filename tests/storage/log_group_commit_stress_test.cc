@@ -1,6 +1,6 @@
-// TSan stress for the group-commit + zero-copy machinery: concurrent
+// TSan stress for the group-commit + page-cache machinery: concurrent
 // appenders (some awaiting durability) race the committer thread's fsync
-// window, zero-copy readers pinning cache pages, and cache eviction forced
+// window, readers copying out of cache pages, and cache eviction forced
 // by a small capacity. Run under -fsanitize=thread by scripts/check.sh; the
 // assertions here are secondary to the data-race detection.
 
@@ -27,7 +27,7 @@ TEST(LogGroupCommitStressTest, AppendersRaceCommitterAndPinnedReaders) {
   MemDisk disk;
   SimulatedClock clock(1000);
   // Small pages and capacity so eviction and copy-on-extend fire constantly
-  // under the readers' pins.
+  // under the readers.
   PageCacheConfig cache_config;
   cache_config.page_size = 512;
   cache_config.capacity_bytes = 16 << 10;
@@ -80,8 +80,8 @@ TEST(LogGroupCommitStressTest, AppendersRaceCommitterAndPinnedReaders) {
         EncodedBatch out;
         Status st = log->ReadEncoded(cursor, 8 << 10, &out);
         if (st.ok() && !out.empty()) {
-          // Frames must decode from whatever buffer (pinned page or copy)
-          // the read returned, even as appenders extend and evict pages.
+          // Frames must decode from the gathered buffer even as appenders
+          // extend and evict the pages it was copied from.
           std::vector<Record> decoded;
           ASSERT_TRUE(out.DecodeAll(&decoded).ok());
           ASSERT_EQ(decoded.front().offset, out.base_offset());

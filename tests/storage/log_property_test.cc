@@ -7,6 +7,7 @@
 #include "common/random.h"
 #include "storage/disk.h"
 #include "storage/log.h"
+#include "test_util.h"
 
 namespace liquid::storage {
 namespace {
@@ -27,7 +28,7 @@ std::vector<Record> ReadAll(Log* log) {
   int64_t cursor = log->start_offset();
   while (cursor < log->end_offset()) {
     std::vector<Record> chunk;
-    EXPECT_TRUE(log->Read(cursor, 1 << 20, &chunk).ok());
+    EXPECT_TRUE(ReadRecords(*log, cursor, 1 << 20, &chunk).ok());
     if (chunk.empty()) break;
     out.insert(out.end(), chunk.begin(), chunk.end());
     cursor = chunk.back().offset + 1;
@@ -67,7 +68,7 @@ TEST_P(LogPropertyTest, ModelInvariantsHoldUnderRandomOps) {
           batch.push_back(Record::ValueOnly(rng.Bytes(24)));
         }
       }
-      auto base = log->Append(&batch);
+      auto base = log->AppendBatch(&batch);
       ASSERT_TRUE(base.ok());
       for (const Record& record : batch) {
         if (record.has_key) {

@@ -36,14 +36,14 @@ class LogTest : public ::testing::Test {
 TEST_F(LogTest, AppendAssignsConsecutiveOffsets) {
   auto log = OpenLog(LogConfig{});
   auto batch = KeyedBatch(5);
-  ASSERT_TRUE(log->Append(&batch).ok());
+  ASSERT_TRUE(log->AppendBatch(&batch).ok());
   for (int i = 0; i < 5; ++i) EXPECT_EQ(batch[i].offset, i);
   EXPECT_EQ(log->end_offset(), 5);
 
   auto batch2 = KeyedBatch(3);
-  auto base = log->Append(&batch2);
+  auto base = log->AppendBatch(&batch2);
   ASSERT_TRUE(base.ok());
-  EXPECT_EQ(*base, 5);
+  EXPECT_EQ(base->base_offset(), 5);
   EXPECT_EQ(log->end_offset(), 8);
 }
 
@@ -51,16 +51,16 @@ TEST_F(LogTest, AppendStampsClockTime) {
   auto log = OpenLog(LogConfig{});
   clock_.SetMs(123456);
   auto batch = KeyedBatch(1);
-  LIQUID_ASSERT_OK(log->Append(&batch));
+  LIQUID_ASSERT_OK(log->AppendBatch(&batch));
   EXPECT_EQ(batch[0].timestamp_ms, 123456);
 }
 
 TEST_F(LogTest, ExplicitTimestampPreserved) {
   auto log = OpenLog(LogConfig{});
   std::vector<Record> batch{Record::KeyValue("k", "v", 42)};
-  LIQUID_ASSERT_OK(log->Append(&batch));
+  LIQUID_ASSERT_OK(log->AppendBatch(&batch));
   std::vector<Record> out;
-  LIQUID_ASSERT_OK(log->Read(0, 1 << 20, &out));
+  LIQUID_ASSERT_OK(ReadRecords(*log, 0, 1 << 20, &out));
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].timestamp_ms, 42);
 }
@@ -71,12 +71,12 @@ TEST_F(LogTest, RollsSegmentsAtConfiguredSize) {
   auto log = OpenLog(config);
   for (int i = 0; i < 20; ++i) {
     auto batch = KeyedBatch(5);
-    ASSERT_TRUE(log->Append(&batch).ok());
+    ASSERT_TRUE(log->AppendBatch(&batch).ok());
   }
   EXPECT_GT(log->segment_count(), 3);
   // All data still readable across segment boundaries.
   std::vector<Record> out;
-  ASSERT_TRUE(log->Read(0, 10 << 20, &out).ok());
+  ASSERT_TRUE(ReadRecords(*log, 0, 10 << 20, &out).ok());
   EXPECT_EQ(out.size(), 100u);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(out[i].offset, i);
 }
@@ -84,11 +84,11 @@ TEST_F(LogTest, RollsSegmentsAtConfiguredSize) {
 TEST_F(LogTest, ReadPastEndReturnsEmpty) {
   auto log = OpenLog(LogConfig{});
   auto batch = KeyedBatch(3);
-  LIQUID_ASSERT_OK(log->Append(&batch));
+  LIQUID_ASSERT_OK(log->AppendBatch(&batch));
   std::vector<Record> out;
-  ASSERT_TRUE(log->Read(3, 1 << 20, &out).ok());
+  ASSERT_TRUE(ReadRecords(*log, 3, 1 << 20, &out).ok());
   EXPECT_TRUE(out.empty());
-  ASSERT_TRUE(log->Read(1000, 1 << 20, &out).ok());
+  ASSERT_TRUE(ReadRecords(*log, 1000, 1 << 20, &out).ok());
   EXPECT_TRUE(out.empty());
 }
 
@@ -99,7 +99,7 @@ TEST_F(LogTest, ReopenRecoversAcrossSegments) {
     auto log = OpenLog(config);
     for (int i = 0; i < 10; ++i) {
       auto batch = KeyedBatch(5);
-      LIQUID_ASSERT_OK(log->Append(&batch));
+      LIQUID_ASSERT_OK(log->AppendBatch(&batch));
     }
     EXPECT_EQ(log->end_offset(), 50);
   }
@@ -107,21 +107,22 @@ TEST_F(LogTest, ReopenRecoversAcrossSegments) {
   EXPECT_EQ(reopened->end_offset(), 50);
   EXPECT_GT(reopened->segment_count(), 1);
   std::vector<Record> out;
-  LIQUID_ASSERT_OK(reopened->Read(17, 10 << 20, &out));
+  LIQUID_ASSERT_OK(ReadRecords(*reopened, 17, 10 << 20, &out));
   ASSERT_EQ(out.size(), 33u);
   EXPECT_EQ(out.front().offset, 17);
 }
 
-TEST_F(LogTest, AppendWithOffsetsFollowsLeader) {
+TEST_F(LogTest, AppendEncodedFollowsLeader) {
   auto leader = OpenLog(LogConfig{}, "leader/");
   auto follower = OpenLog(LogConfig{}, "follower/");
   auto batch = KeyedBatch(10);
-  LIQUID_ASSERT_OK(leader->Append(&batch));
-  ASSERT_TRUE(follower->AppendWithOffsets(batch).ok());
+  auto encoded = leader->AppendBatch(&batch);
+  LIQUID_ASSERT_OK(encoded.status());
+  ASSERT_TRUE(follower->AppendEncoded(*encoded).ok());
   EXPECT_EQ(follower->end_offset(), 10);
 
   // Overlapping replication is rejected.
-  EXPECT_TRUE(follower->AppendWithOffsets(batch).IsInvalidArgument());
+  EXPECT_TRUE(follower->AppendEncoded(*encoded).IsInvalidArgument());
 }
 
 TEST_F(LogTest, TruncateDropsSuffix) {
@@ -130,36 +131,37 @@ TEST_F(LogTest, TruncateDropsSuffix) {
   auto log = OpenLog(config);
   for (int i = 0; i < 10; ++i) {
     auto batch = KeyedBatch(5);
-    LIQUID_ASSERT_OK(log->Append(&batch));
+    LIQUID_ASSERT_OK(log->AppendBatch(&batch));
   }
   ASSERT_TRUE(log->Truncate(23).ok());
   EXPECT_EQ(log->end_offset(), 23);
   std::vector<Record> out;
-  LIQUID_ASSERT_OK(log->Read(0, 10 << 20, &out));
+  LIQUID_ASSERT_OK(ReadRecords(*log, 0, 10 << 20, &out));
   ASSERT_EQ(out.size(), 23u);
   EXPECT_EQ(out.back().offset, 22);
 
   // New appends continue from the truncation point.
   auto batch = KeyedBatch(2);
-  auto base = log->Append(&batch);
-  EXPECT_EQ(*base, 23);
+  auto base = log->AppendBatch(&batch);
+  ASSERT_TRUE(base.ok());
+  EXPECT_EQ(base->base_offset(), 23);
 }
 
 TEST_F(LogTest, TruncateToZeroEmptiesLog) {
   auto log = OpenLog(LogConfig{});
   auto batch = KeyedBatch(5);
-  LIQUID_ASSERT_OK(log->Append(&batch));
+  LIQUID_ASSERT_OK(log->AppendBatch(&batch));
   ASSERT_TRUE(log->Truncate(0).ok());
   EXPECT_EQ(log->end_offset(), 0);
   std::vector<Record> out;
-  LIQUID_ASSERT_OK(log->Read(0, 1 << 20, &out));
+  LIQUID_ASSERT_OK(ReadRecords(*log, 0, 1 << 20, &out));
   EXPECT_TRUE(out.empty());
 }
 
 TEST_F(LogTest, TruncatePastEndIsNoOp) {
   auto log = OpenLog(LogConfig{});
   auto batch = KeyedBatch(5);
-  LIQUID_ASSERT_OK(log->Append(&batch));
+  LIQUID_ASSERT_OK(log->AppendBatch(&batch));
   ASSERT_TRUE(log->Truncate(100).ok());
   EXPECT_EQ(log->end_offset(), 5);
 }
@@ -171,7 +173,7 @@ TEST_F(LogTest, OffsetForTimestampAcrossSegments) {
   for (int i = 0; i < 10; ++i) {
     clock_.SetMs(10000 + i * 100);
     auto batch = KeyedBatch(5);
-    LIQUID_ASSERT_OK(log->Append(&batch));
+    LIQUID_ASSERT_OK(log->AppendBatch(&batch));
   }
   // Each batch of 5 shares its timestamp: 10000, 10100, ...
   EXPECT_EQ(*log->OffsetForTimestamp(10000), 0);
@@ -184,7 +186,7 @@ TEST_F(LogTest, SizeBytesGrowsWithData) {
   auto log = OpenLog(LogConfig{});
   EXPECT_EQ(log->size_bytes(), 0u);
   auto batch = KeyedBatch(10);
-  LIQUID_ASSERT_OK(log->Append(&batch));
+  LIQUID_ASSERT_OK(log->AppendBatch(&batch));
   EXPECT_GT(log->size_bytes(), 100u);
 }
 
@@ -196,7 +198,7 @@ TEST_F(LogTest, TimeRetentionDeletesOldSegments) {
   clock_.SetMs(1000);
   for (int i = 0; i < 10; ++i) {
     auto batch = KeyedBatch(5);
-    LIQUID_ASSERT_OK(log->Append(&batch));
+    LIQUID_ASSERT_OK(log->AppendBatch(&batch));
   }
   const int before = log->segment_count();
   ASSERT_GT(before, 2);
@@ -210,7 +212,7 @@ TEST_F(LogTest, TimeRetentionDeletesOldSegments) {
 
   // Reads below the new start offset are clamped forward.
   std::vector<Record> out;
-  ASSERT_TRUE(log->Read(0, 10 << 20, &out).ok());
+  ASSERT_TRUE(ReadRecords(*log, 0, 10 << 20, &out).ok());
   if (!out.empty()) {
     EXPECT_GE(out.front().offset, log->start_offset());
   }
@@ -223,7 +225,7 @@ TEST_F(LogTest, SizeRetentionBoundsLog) {
   auto log = OpenLog(config);
   for (int i = 0; i < 40; ++i) {
     auto batch = KeyedBatch(5);
-    LIQUID_ASSERT_OK(log->Append(&batch));
+    LIQUID_ASSERT_OK(log->AppendBatch(&batch));
     LIQUID_ASSERT_OK(log->ApplyRetention());
   }
   EXPECT_LE(log->size_bytes(), 3000u);  // Bounded near the target.
@@ -236,7 +238,7 @@ TEST_F(LogTest, RetentionKeepsFreshData) {
   config.retention_ms = 1000000;
   auto log = OpenLog(config);
   auto batch = KeyedBatch(50);
-  LIQUID_ASSERT_OK(log->Append(&batch));
+  LIQUID_ASSERT_OK(log->AppendBatch(&batch));
   auto deleted = log->ApplyRetention();
   EXPECT_EQ(*deleted, 0);
   EXPECT_EQ(log->start_offset(), 0);
@@ -246,19 +248,18 @@ TEST_F(LogTest, BudgetEndingInsideASegmentDoesNotSkipItsTail) {
   // A read whose byte budget runs out inside one segment must stop there.
   // Moving on to the next segment would hand over that segment's first
   // record ("at least one record"), and a poller resuming after it would
-  // skip the rest of the first segment. No page cache, so ReadEncoded takes
-  // its copying path, which walks segments the same way.
+  // skip the rest of the first segment. Checked both raw and decoded.
   LogConfig config;
   config.segment_bytes = 512;
   auto log = OpenLog(config);
   for (int i = 0; i < 20; ++i) {
     auto batch = KeyedBatch(5);
-    LIQUID_ASSERT_OK(log->Append(&batch));
+    LIQUID_ASSERT_OK(log->AppendBatch(&batch));
   }
   ASSERT_GT(log->segment_count(), 2);
   const int64_t end = log->end_offset();
   std::vector<Record> probe;
-  LIQUID_ASSERT_OK(log->Read(0, 1, &probe));
+  LIQUID_ASSERT_OK(ReadRecords(*log, 0, 1, &probe));
   ASSERT_EQ(probe.size(), 1u);
   // Two and a half equal-sized records: most polls stop on a record that
   // does not fit while the segment still holds more.
@@ -267,7 +268,7 @@ TEST_F(LogTest, BudgetEndingInsideASegmentDoesNotSkipItsTail) {
   std::vector<int64_t> read_offsets;
   for (int64_t offset = 0; offset < end;) {
     std::vector<Record> out;
-    LIQUID_ASSERT_OK(log->Read(offset, budget, &out));
+    LIQUID_ASSERT_OK(ReadRecords(*log, offset, budget, &out));
     ASSERT_FALSE(out.empty()) << "at " << offset;
     for (const Record& record : out) read_offsets.push_back(record.offset);
     offset = out.back().offset + 1;
@@ -292,7 +293,7 @@ TEST_F(LogTest, BudgetEndingInsideASegmentDoesNotSkipItsTail) {
 TEST_F(LogTest, EmptyAppendRejected) {
   auto log = OpenLog(LogConfig{});
   std::vector<Record> empty;
-  EXPECT_TRUE(log->Append(&empty).status().IsInvalidArgument());
+  EXPECT_TRUE(log->AppendBatch(&empty).status().IsInvalidArgument());
 }
 
 }  // namespace

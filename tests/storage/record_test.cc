@@ -184,36 +184,22 @@ TEST(RecordTest, EmptyInputIsOutOfRange) {
   EXPECT_TRUE(DecodeRecord(&input, &out).IsOutOfRange());
 }
 
-TEST(RecordTest, DecodeRecordsStopsAtTruncatedTail) {
+TEST(RecordTest, DecodeSkipsTheCrcOnlyWhenAsked) {
+  // The log checks each frame's CRC when it gathers it; decoders downstream
+  // pass verify_crc=false and must still parse the frame.
+  Record in = Record::KeyValue("k", "value");
+  in.offset = 3;
   std::string buf;
-  for (int i = 0; i < 3; ++i) {
-    Record r = Record::KeyValue("k" + std::to_string(i), "v");
-    r.offset = i;
-    EncodeRecord(r, &buf);
-  }
-  const size_t full = buf.size();
-  buf.resize(full - 7);  // Chop into the last record.
-  std::vector<Record> records;
-  ASSERT_TRUE(DecodeRecords(Slice(buf), &records).ok());
-  ASSERT_EQ(records.size(), 2u);
-  EXPECT_EQ(records[0].key, "k0");
-  EXPECT_EQ(records[1].key, "k1");
-}
-
-TEST(RecordTest, DecodeRecordsAll) {
-  std::string buf;
-  for (int i = 0; i < 10; ++i) {
-    Record r = Record::KeyValue("k", std::string(i * 10, 'x'));
-    r.offset = i;
-    EncodeRecord(r, &buf);
-  }
-  std::vector<Record> records;
-  ASSERT_TRUE(DecodeRecords(Slice(buf), &records).ok());
-  ASSERT_EQ(records.size(), 10u);
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(records[i].offset, i);
-    EXPECT_EQ(records[i].value.size(), static_cast<size_t>(i * 10));
-  }
+  EncodeRecord(in, &buf);
+  buf[buf.size() - 1] ^= 0x01;  // Flip a bit of the value.
+  Slice checked(buf);
+  Record out;
+  EXPECT_TRUE(DecodeRecord(&checked, &out).IsCorruption());
+  Slice unchecked(buf);
+  ASSERT_TRUE(DecodeRecord(&unchecked, &out, /*verify_crc=*/false).ok());
+  EXPECT_EQ(out.offset, 3);
+  EXPECT_EQ(out.key, "k");
+  EXPECT_TRUE(unchecked.empty());
 }
 
 TEST(RecordTest, BinarySafeKeyAndValue) {

@@ -3,8 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "common/result.h"
 #include "common/status.h"
+#include "messaging/metadata.h"
+#include "storage/log.h"
+#include "storage/record.h"
+#include "storage/record_batch.h"
 
 /// GTest helpers for Status/Result expressions. Status and Result<T> are
 /// [[nodiscard]] (see common/nodiscard.h), so a test that exercises a
@@ -29,5 +36,31 @@
     EXPECT_TRUE(_liquid_st.ok())                                        \
         << #expr << " -> " << _liquid_st.ToString();                    \
   } while (0)
+
+namespace liquid {
+
+/// Reads the records of `log` the way every reader does: the encoded frames
+/// from Log::ReadEncoded, decoded with EncodedBatch::DecodeAll (appending to
+/// `out`).
+inline Status ReadRecords(const storage::Log& log, int64_t offset,
+                          size_t max_bytes, std::vector<storage::Record>* out) {
+  storage::EncodedBatch batch;
+  LIQUID_RETURN_NOT_OK(log.ReadEncoded(offset, max_bytes, &batch));
+  return batch.DecodeAll(out);
+}
+
+/// The records a consumer gets to see from `fetch` (control markers and
+/// aborted data dropped, as Consumer::Poll does).
+inline std::vector<storage::Record> FetchedRecords(
+    const messaging::FetchResponse& fetch) {
+  std::vector<storage::Record> out;
+  size_t next_frame = 0;
+  const Status st = messaging::DecodeVisible(fetch.batch, fetch.aborted,
+                                             SIZE_MAX, &next_frame, &out);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  return out;
+}
+
+}  // namespace liquid
 
 #endif  // LIQUID_TESTS_TEST_UTIL_H_
