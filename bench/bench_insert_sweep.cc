@@ -4,11 +4,11 @@
 // from a fixed baseline point (acks=1, sync=none, 100-record batches of
 // 100-byte values, 1 partition), so each curve isolates one effect:
 //
-//   - ack_x_sync:   ack level (0/1/all) x sync_mode (none/every_batch/group)
-//                   with 4 concurrent producers. The headline: group commit
-//                   coalesces the producers' fsyncs into one per window, so
-//                   sync=group recovers most of sync=none's throughput while
-//                   every_batch pays one fsync per batch (DESIGN.md §6c).
+//   - ack_x_sync:   ack level (0/1/all) x sync_mode (none/every_batch) with
+//                   4 concurrent producers on one partition. every_batch
+//                   acks wait for an fsync, but concurrent producers' waits
+//                   share one inline sync round (group commit, DESIGN.md
+//                   §6c), so `fsyncs` stays below the batch count.
 //   - batch_records: records per produce request. Throughput rises steeply
 //                   then flattens once per-request overhead is amortized —
 //                   the curve shape Hesse et al. report for Kafka.
@@ -23,7 +23,7 @@
 //
 // --json[=path] emits BENCH_insert_sweep.json for CI trend tracking
 // (scripts/bench_compare.py). --quick runs a 3-point smoke (baseline,
-// acks=all/every_batch, acks=all/group) used by scripts/check.sh and CI.
+// acks=1/every_batch, acks=all/every_batch) used by scripts/check.sh and CI.
 
 #include <algorithm>
 #include <atomic>
@@ -69,8 +69,6 @@ const char* SyncName(storage::SyncMode mode) {
       return "none";
     case storage::SyncMode::kEveryBatch:
       return "every_batch";
-    case storage::SyncMode::kGroup:
-      return "group";
   }
   return "?";
 }
@@ -191,22 +189,20 @@ SweepPoint RunPoint(const PointSpec& spec, int64_t target_records) {
 std::vector<PointSpec> BuildSweep(bool quick) {
   std::vector<PointSpec> specs;
   if (quick) {
-    // The 3-point smoke: baseline, the fsync-per-batch floor, and group
-    // commit recovering from it. CI asserts only that these run and emit.
+    // The 3-point smoke: baseline, then the durable mode at the two ack
+    // levels. CI asserts only that these run and emit.
     PointSpec base;
     base.axis = "ack_x_sync";
     base.threads = 4;
     specs.push_back(base);
-    base.acks = AckMode::kAll;
     base.sync = storage::SyncMode::kEveryBatch;
     specs.push_back(base);
-    base.sync = storage::SyncMode::kGroup;
+    base.acks = AckMode::kAll;
     specs.push_back(base);
     return specs;
   }
   for (storage::SyncMode sync :
-       {storage::SyncMode::kNone, storage::SyncMode::kEveryBatch,
-        storage::SyncMode::kGroup}) {
+       {storage::SyncMode::kNone, storage::SyncMode::kEveryBatch}) {
     for (AckMode acks : {AckMode::kNone, AckMode::kLeader, AckMode::kAll}) {
       PointSpec s;
       s.axis = "ack_x_sync";

@@ -175,7 +175,7 @@ fi
 # (scripts/bench_compare.py diffs two emission runs and fails on >10%
 # regressions). bench_log_throughput is filtered to one cheap leg;
 # bench_parallel_produce and bench_insert_sweep run --quick (the latter's
-# 3 points: the baseline and the every_batch / group durability pair): the
+# 3 points: the baseline and every_batch at acks=1 and acks=all): the
 # gate checks emission, not trends.
 note "bench emission (pipeline_latency, log_throughput, parallel_produce, insert_sweep)"
 if cmake -B build-bench -S . -DCMAKE_BUILD_TYPE=Release >/dev/null \

@@ -490,7 +490,10 @@ Status Broker::StopReplica(const TopicPartition& tp, bool delete_data) {
 void Broker::AdvanceHighWatermarkLocked(const TopicPartition& tp,
                                         Replica* replica) {
   if (!replica->is_leader) return;
-  int64_t min_leo = replica->log->end_offset();
+  const storage::Log& log = *replica->log;
+  int64_t min_leo = log.config().sync_mode == storage::SyncMode::kEveryBatch
+                        ? log.durable_offset()
+                        : log.end_offset();
   for (int member : replica->isr) {
     if (member == id_) continue;
     auto it = replica->follower_leo.find(member);
@@ -596,10 +599,13 @@ Result<ProduceResponse> Broker::Produce(const TopicPartition& tp,
   }
   std::vector<int> push_targets;
   int epoch = 0;
-  int64_t base = 0;
+  int64_t base = -1;
   int64_t leo = 0;
   int64_t leader_hw = 0;
-  bool group_sync = false;
+  // sync_mode=every_batch: no ack (not even a duplicate's) precedes the
+  // fsync covering it, which runs below with the replica lock released.
+  bool durable = false;
+  bool duplicate = false;
   storage::EncodedBatch batch;
   {
     ReaderMutexLock map_lock(&map_mu_);
@@ -617,65 +623,53 @@ Result<ProduceResponse> Broker::Produce(const TopicPartition& tp,
       return Status::Unavailable("ISR below min.insync.replicas for " +
                                  tp.ToString());
     }
-    bool advanced_seq = false;
-    int32_t prev_seq = -1;
-    if (producer_id != storage::kNoProducerId && first_sequence >= 0) {
+    durable = replica->log->config().sync_mode == storage::SyncMode::kEveryBatch;
+    epoch = replica->leader_epoch;
+    const bool idempotent =
+        producer_id != storage::kNoProducerId && first_sequence >= 0;
+    if (idempotent) {
       auto it = replica->producer_last_seq.find(producer_id);
       const int32_t last = it == replica->producer_last_seq.end() ? -1 : it->second;
       if (first_sequence <= last) {
         // Duplicate batch (retry after a lost ack): deduplicate.
         produce_duplicates_dropped_->Increment();
-        ProduceResponse resp;
-        resp.base_offset = -1;
-        resp.log_end_offset = replica->log->end_offset();
-        resp.throttle_ms = throttle_ms;
-        return resp;
-      }
-      if (first_sequence != last + 1) {
+        leo = replica->log->end_offset();
+        if (!durable) {
+          ProduceResponse resp;
+          resp.log_end_offset = leo;
+          resp.throttle_ms = throttle_ms;
+          return resp;
+        }
+        duplicate = true;
+      } else if (first_sequence != last + 1) {
         return Status::InvalidArgument("out-of-order producer sequence");
-      }
-      replica->producer_last_seq[producer_id] =
-          first_sequence + static_cast<int32_t>(records.size()) - 1;
-      advanced_seq = true;
-      prev_seq = last;
-      int32_t seq = first_sequence;
-      for (auto& record : records) {
-        record.producer_id = producer_id;
-        record.sequence = seq++;
-      }
-    }
-    for (auto& record : records) record.leader_epoch = replica->leader_epoch;
-    // Encode-once: the batch buffer produced here is the exact bytes on our
-    // disk, and the same buffer is forwarded to followers below.
-    const int64_t pre_append_end = replica->log->end_offset();
-    auto batch_result = replica->log->AppendBatch(&records);
-    if (!batch_result.ok()) {
-      // end_offset() advances only when the write itself committed, so it
-      // distinguishes "batch never entered the log" from "batch is in the
-      // log but its every-batch fsync failed" (phase 6). Only the former
-      // rolls the dedup window back: the producer retries a rejected append
-      // (an injected fault, a failed segment write) with the same sequence,
-      // and that retry must not be dropped as a duplicate. After a sync
-      // failure the records are readable in the log, so keeping the window
-      // advanced
-      // turns the producer's same-sequence resend into a duplicate-drop
-      // acknowledgment instead of a second, duplicating append.
-      const bool landed = replica->log->end_offset() > pre_append_end;
-      if (advanced_seq && !landed) {
-        if (prev_seq < 0) {
-          replica->producer_last_seq.erase(producer_id);
-        } else {
-          replica->producer_last_seq[producer_id] = prev_seq;
+      } else {
+        int32_t seq = first_sequence;
+        for (auto& record : records) {
+          record.producer_id = producer_id;
+          record.sequence = seq++;
         }
       }
-      return batch_result.status();
     }
-    batch = std::move(batch_result).value();
-    base = batch.base_offset();
-    leo = batch.last_offset() + 1;
-    broker_produce_records_->Increment(static_cast<int64_t>(records.size()));
-    replica->append_records->Increment(static_cast<int64_t>(records.size()));
-    if (acks != AckMode::kAll) {
+    if (!duplicate) {
+      for (auto& record : records) record.leader_epoch = replica->leader_epoch;
+      // Encode-once: the batch buffer produced here is the exact bytes on
+      // our disk, and the same buffer is forwarded to followers below.
+      // A failed append never lands (appends do not fsync), so the dedup
+      // window advances only after it succeeds: the producer retries a
+      // rejected batch with the same sequence, and that retry must not be
+      // dropped as a duplicate.
+      LIQUID_ASSIGN_OR_RETURN(batch, replica->log->AppendBatch(&records));
+      if (idempotent) {
+        replica->producer_last_seq[producer_id] =
+            first_sequence + static_cast<int32_t>(records.size()) - 1;
+      }
+      base = batch.base_offset();
+      leo = batch.last_offset() + 1;
+      broker_produce_records_->Increment(static_cast<int64_t>(records.size()));
+      replica->append_records->Increment(static_cast<int64_t>(records.size()));
+    }
+    if (acks != AckMode::kAll && !durable) {
       AdvanceHighWatermarkLocked(tp, replica);
       // Chaos surface: the batch is appended but the acknowledgment is lost
       // or delayed — the retry/idempotence path must absorb the resend.
@@ -687,13 +681,12 @@ Result<ProduceResponse> Broker::Produce(const TopicPartition& tp,
       resp.throttle_ms = throttle_ms;
       return resp;
     }
-    epoch = replica->leader_epoch;
     leader_hw = replica->high_watermark;
-    group_sync =
-        replica->log->config().sync_mode == storage::SyncMode::kGroup;
-    push_targets.reserve(replica->isr.size());
-    for (int member : replica->isr) {
-      if (member != id_) push_targets.push_back(member);
+    if (acks == AckMode::kAll && !duplicate) {
+      push_targets.reserve(replica->isr.size());
+      for (int member : replica->isr) {
+        if (member != id_) push_targets.push_back(member);
+      }
     }
   }
 
@@ -711,54 +704,43 @@ Result<ProduceResponse> Broker::Produce(const TopicPartition& tp,
     if (!st.ok()) failed.push_back(member);
   }
 
-  // Group-commit durability: a kAll acknowledgment also covers our own fsync
-  // (DESIGN.md §6c). The wait runs after follower replication so the sync
-  // window overlaps the replication round-trips, and holds only the shared
-  // membership lock — which keeps the Replica (and its log) alive, since
-  // erasing one needs map_mu_ exclusive — but NOT the replica lock, so
-  // same-partition producers keep filling the window we are waiting on.
-  if (group_sync && acks == AckMode::kAll) {
-    ReaderMutexLock map_lock(&map_mu_);
-    auto replica_result = FindReplicaShared(tp);
-    if (replica_result.ok()) {
-      storage::Log* log = nullptr;
-      {
-        MutexLock lock(&(*replica_result)->mu);
-        log = (*replica_result)->log.get();
-      }
-      if (log != nullptr) LIQUID_RETURN_NOT_OK(log->AwaitDurable(leo));
-    }
-  }
-
   std::optional<std::vector<int>> publish_isr;
   auto result = [&]() -> Result<ProduceResponse> {
     ReaderMutexLock map_lock(&map_mu_);
     LIQUID_ASSIGN_OR_RETURN(Replica * replica, FindReplicaShared(tp));
+    // The leader's own fsync (DESIGN.md §6c) runs after follower
+    // replication, outside the replica lock: same-partition producers keep
+    // appending meanwhile, and their waits share this sync round.
+    if (durable) LIQUID_RETURN_NOT_OK(AwaitDurableShared(replica, leo));
     MutexLock lock(&replica->mu);
     if (!replica->is_leader || replica->leader_epoch != epoch) {
-      return Status::NotLeader("leadership lost during replication");
+      return Status::NotLeader("leadership lost before the acknowledgment");
     }
-    for (int member : push_targets) {
-      if (!Contains(failed, member)) replica->follower_leo[member] = leo;
-    }
-    bool shrank = false;
-    for (int member : failed) {
-      shrank = ShrinkIsrLocked(tp, replica, member) || shrank;
-    }
-    if (shrank) publish_isr = replica->isr;
-    if (static_cast<int>(replica->isr.size()) <
-        replica->config.min_insync_replicas) {
-      return Status::Unavailable("ISR shrank below min.insync.replicas");
-    }
-    AdvanceHighWatermarkLocked(tp, replica);
-    // Chaos surface: appended AND replicated, but the acknowledgment is
-    // lost — the strongest duplicate-generation point for idempotence tests.
-    LIQUID_FAULT_POINT("broker.produce.before_ack");
-    observe_append(records);
     ProduceResponse resp;
-    resp.base_offset = base;
     resp.log_end_offset = leo;
     resp.throttle_ms = throttle_ms;
+    if (duplicate) return resp;
+    if (acks == AckMode::kAll) {
+      for (int member : push_targets) {
+        if (!Contains(failed, member)) replica->follower_leo[member] = leo;
+      }
+      bool shrank = false;
+      for (int member : failed) {
+        shrank = ShrinkIsrLocked(tp, replica, member) || shrank;
+      }
+      if (shrank) publish_isr = replica->isr;
+      if (static_cast<int>(replica->isr.size()) <
+          replica->config.min_insync_replicas) {
+        return Status::Unavailable("ISR shrank below min.insync.replicas");
+      }
+    }
+    AdvanceHighWatermarkLocked(tp, replica);
+    // Chaos surface: appended, durable AND (acks=all) replicated, but the
+    // acknowledgment is lost — the strongest duplicate-generation point for
+    // idempotence tests.
+    LIQUID_FAULT_POINT("broker.produce.before_ack");
+    observe_append(records);
+    resp.base_offset = base;
     return resp;
   }();
   // ISR changes reach the coordination service only after every broker lock
@@ -766,6 +748,15 @@ Result<ProduceResponse> Broker::Produce(const TopicPartition& tp,
   // same thread.
   if (publish_isr.has_value()) PublishIsr(tp, *publish_isr);
   return result;
+}
+
+Status Broker::AwaitDurableShared(Replica* replica, int64_t end) {
+  storage::Log* log = nullptr;
+  {
+    MutexLock lock(&replica->mu);
+    log = replica->log.get();
+  }
+  return log->AwaitDurable(end);
 }
 
 Status Broker::AppendEncodedAsFollower(const TopicPartition& tp,
@@ -776,56 +767,68 @@ Status Broker::AppendEncodedAsFollower(const TopicPartition& tp,
   LIQUID_FAULT_POINT("broker.replicate.before_append");
   ReaderMutexLock map_lock(&map_mu_);
   LIQUID_ASSIGN_OR_RETURN(Replica * replica, FindReplicaShared(tp));
-  MutexLock lock(&replica->mu);
-  if (leader_epoch < replica->leader_epoch) {
-    return Status::FailedPrecondition("push from stale leader epoch");
-  }
-  replica->leader_epoch = leader_epoch;
-  if (!batch.empty()) {
-    const int64_t local_end = replica->log->end_offset();
-    if (batch.base_offset() > local_end) {
-      // We missed earlier data (e.g. we were out of the ISR); signal the
-      // leader so it shrinks the ISR; the pull path will catch us up.
-      return Status::OutOfRange("follower behind leader push");
+  bool durable = false;
+  {
+    MutexLock lock(&replica->mu);
+    if (leader_epoch < replica->leader_epoch) {
+      return Status::FailedPrecondition("push from stale leader epoch");
     }
-    // Drop frames we already store — a frame-metadata slice of the shared
-    // buffer, not a copy — then land the leader's bytes verbatim.
-    storage::EncodedBatch fresh = batch;
-    fresh.SliceFrom(local_end);
-    if (!fresh.empty()) {
-      const int64_t t0 = clock_->NowUs();
-      LIQUID_RETURN_NOT_OK(replica->log->AppendEncoded(fresh));
-      for (const auto& frame : fresh.frames()) {
-        NoteEpochLocked(tp, replica, frame.leader_epoch, frame.offset);
+    replica->leader_epoch = leader_epoch;
+    if (!batch.empty()) {
+      const int64_t local_end = replica->log->end_offset();
+      if (batch.base_offset() > local_end) {
+        // We missed earlier data (e.g. we were out of the ISR); signal the
+        // leader so it shrinks the ISR; the pull path will catch us up.
+        return Status::OutOfRange("follower behind leader push");
       }
-      replicated_records_->Increment(
-          static_cast<int64_t>(fresh.record_count()));
-      replica->append_records->Increment(
-          static_cast<int64_t>(fresh.record_count()));
-      TraceCollector* tracer = TraceCollector::Default();
-      if (tracer->enabled()) {
-        // Only traced frames are decoded (to read their trace context); the
-        // untraced common case touches no payload bytes at all.
-        const int64_t now_us = clock_->NowUs();
-        for (size_t i = 0; i < fresh.frames().size(); ++i) {
-          if (!fresh.frames()[i].traced) continue;
-          auto record = fresh.DecodeFrame(i);
-          if (!record.ok()) continue;
-          // liquid-lint: allow(hot-alloc): span annotation built only for sampled traced frames with tracing enabled; the untraced common case skips this block.
-          tracer->Record(Span{record->trace_id, tracer->NewSpanId(),
-                              record->span_id, t0, now_us, "replicate",
-                              tp.ToString() + " follower=" +
-                                  std::to_string(id_)});
+      // Drop frames we already store — a frame-metadata slice of the shared
+      // buffer, not a copy — then land the leader's bytes verbatim.
+      storage::EncodedBatch fresh = batch;
+      fresh.SliceFrom(local_end);
+      if (!fresh.empty()) {
+        const int64_t t0 = clock_->NowUs();
+        LIQUID_RETURN_NOT_OK(replica->log->AppendEncoded(fresh));
+        for (const auto& frame : fresh.frames()) {
+          NoteEpochLocked(tp, replica, frame.leader_epoch, frame.offset);
+        }
+        replicated_records_->Increment(
+            static_cast<int64_t>(fresh.record_count()));
+        replica->append_records->Increment(
+            static_cast<int64_t>(fresh.record_count()));
+        TraceCollector* tracer = TraceCollector::Default();
+        if (tracer->enabled()) {
+          // Only traced frames are decoded (to read their trace context); the
+          // untraced common case touches no payload bytes at all.
+          const int64_t now_us = clock_->NowUs();
+          for (size_t i = 0; i < fresh.frames().size(); ++i) {
+            if (!fresh.frames()[i].traced) continue;
+            auto record = fresh.DecodeFrame(i);
+            if (!record.ok()) continue;
+            // liquid-lint: allow(hot-alloc): span annotation built only for sampled traced frames with tracing enabled; the untraced common case skips this block.
+            tracer->Record(Span{record->trace_id, tracer->NewSpanId(),
+                                record->span_id, t0, now_us, "replicate",
+                                tp.ToString() + " follower=" +
+                                    std::to_string(id_)});
+          }
         }
       }
     }
+    const int64_t new_hw =
+        std::min<int64_t>(leader_hw, replica->log->end_offset());
+    if (new_hw > replica->high_watermark) {
+      replica->high_watermark = new_hw;
+      StoreHighWatermarkLocked(tp, replica);
+    }
+    durable = !batch.empty() && replica->log->config().sync_mode ==
+                                    storage::SyncMode::kEveryBatch;
   }
-  const int64_t new_hw =
-      std::min<int64_t>(leader_hw, replica->log->end_offset());
-  if (new_hw > replica->high_watermark) {
-    replica->high_watermark = new_hw;
-    StoreHighWatermarkLocked(tp, replica);
-  }
+  // Follower durability mirrors the leader's ack contract: an OK here
+  // advances this follower's LEO in the leader's view, which counts toward
+  // an acks=all acknowledgment — so under every_batch the bytes (fresh or
+  // stored by an earlier push) must be fsynced first, or a power-cycle of
+  // the full ISR loses acked records when a once-follower wins the next
+  // election. The wait runs outside the replica lock.
+  if (durable) return AwaitDurableShared(replica, batch.last_offset() + 1);
   return Status::OK();
 }
 
@@ -853,11 +856,13 @@ Status Broker::WriteTxnMarker(const TopicPartition& tp, int64_t pid,
   int epoch = 0;
   int64_t leo = 0;
   int64_t hw = 0;
+  bool durable = false;
   {
     ReaderMutexLock map_lock(&map_mu_);
     LIQUID_ASSIGN_OR_RETURN(Replica * replica, FindReplicaShared(tp));
     MutexLock lock(&replica->mu);
     if (!replica->is_leader) return Status::NotLeader("txn marker on follower");
+    durable = replica->log->config().sync_mode == storage::SyncMode::kEveryBatch;
     auto it = replica->ongoing_txns.find(pid);
     if (it == replica->ongoing_txns.end()) {
       return Status::NotFound("no ongoing txn for pid " + std::to_string(pid));
@@ -892,6 +897,7 @@ Status Broker::WriteTxnMarker(const TopicPartition& tp, int64_t pid,
   }
   ReaderMutexLock map_lock(&map_mu_);
   LIQUID_ASSIGN_OR_RETURN(Replica * replica, FindReplicaShared(tp));
+  if (durable) LIQUID_RETURN_NOT_OK(AwaitDurableShared(replica, leo));
   MutexLock lock(&replica->mu);
   if (!replica->is_leader || replica->leader_epoch != epoch) {
     return Status::NotLeader("leadership lost during marker replication");
@@ -1066,21 +1072,34 @@ Status Broker::ReplicateFromLeaders() {
     auto replica_result = FindReplicaShared(task.tp);
     if (!replica_result.ok()) continue;
     Replica* replica = *replica_result;
+    bool durable = false;
+    {
+      MutexLock lock(&replica->mu);
+      if (replica->is_leader) continue;
+      if (!resp->batch.empty() &&
+          resp->batch.base_offset() >= replica->log->end_offset()) {
+        // The leader's shared buffer lands here byte-for-byte.
+        Status st = replica->log->AppendEncoded(resp->batch);
+        if (!st.ok()) continue;
+        for (const auto& frame : resp->batch.frames()) {
+          NoteEpochLocked(task.tp, replica, frame.leader_epoch, frame.offset);
+        }
+        replicated_records_->Increment(
+            static_cast<int64_t>(resp->batch.record_count()));
+        replica->append_records->Increment(
+            static_cast<int64_t>(resp->batch.record_count()));
+        durable = replica->log->config().sync_mode ==
+                  storage::SyncMode::kEveryBatch;
+      }
+    }
+    // As on the push path: under every_batch the fetched bytes are fsynced,
+    // outside the replica lock, before they count toward our high watermark.
+    if (durable &&
+        !AwaitDurableShared(replica, resp->batch.last_offset() + 1).ok()) {
+      continue;
+    }
     MutexLock lock(&replica->mu);
     if (replica->is_leader) continue;
-    if (!resp->batch.empty() &&
-        resp->batch.base_offset() >= replica->log->end_offset()) {
-      // The leader's shared buffer lands here byte-for-byte.
-      Status st = replica->log->AppendEncoded(resp->batch);
-      if (!st.ok()) continue;
-      for (const auto& frame : resp->batch.frames()) {
-        NoteEpochLocked(task.tp, replica, frame.leader_epoch, frame.offset);
-      }
-      replicated_records_->Increment(
-          static_cast<int64_t>(resp->batch.record_count()));
-      replica->append_records->Increment(
-          static_cast<int64_t>(resp->batch.record_count()));
-    }
     const int64_t new_hw =
         std::min<int64_t>(resp->high_watermark, replica->log->end_offset());
     if (new_hw > replica->high_watermark) {

@@ -229,7 +229,16 @@ class Broker {
 
   Status EnsureLogLocked(const TopicPartition& tp, Replica* replica)
       REQUIRES(replica->mu);
-  /// Recomputes the leader HW = min(LEO over ISR members with known LEO).
+  /// Log::AwaitDurable on `replica`'s log, for a sync_mode=every_batch
+  /// partition. Takes the replica lock only to find the log and waits
+  /// without it, so other appenders to the partition keep landing while
+  /// this caller's fsync runs; the caller's shared map_mu_ keeps the
+  /// Replica and its log alive (erasing one needs map_mu_ exclusive).
+  Status AwaitDurableShared(Replica* replica, int64_t end)
+      REQUIRES_SHARED(map_mu_);
+  /// Recomputes the leader HW = min(LEO over ISR members with known LEO),
+  /// where the leader's own share is what it may acknowledge: its durable
+  /// offset under sync_mode=every_batch, its log end otherwise.
   void AdvanceHighWatermarkLocked(const TopicPartition& tp, Replica* replica)
       REQUIRES(replica->mu);
   /// Removes `follower` from the ISR; returns true if the ISR changed (the

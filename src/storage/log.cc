@@ -42,26 +42,11 @@ Log::Log(Disk* disk, PageCache* cache, std::string name_prefix, LogConfig config
   group_commit_syncs_ = global->GetCounter(prefix + "group_commit_syncs");
 }
 
-Log::~Log() {
-  {
-    MutexLock lock(&append_mu_);
-    committer_stop_ = true;
-    committer_cv_.Signal();
-    durable_cv_.SignalAll();
-  }
-  if (committer_.joinable()) committer_.join();
-}
-
 Result<std::unique_ptr<Log>> Log::Open(Disk* disk, PageCache* cache,
                                        const std::string& name_prefix,
                                        const LogConfig& config, Clock* clock) {
   std::unique_ptr<Log> log(new Log(disk, cache, name_prefix, config, clock));
   LIQUID_RETURN_NOT_OK(log->OpenExisting());
-  if (config.sync_mode == SyncMode::kGroup) {
-    // Only group mode pays for a committer thread; metadata-scale logs
-    // (kNone, the default) start nothing.
-    log->committer_ = std::thread([raw = log.get()] { raw->CommitterLoop(); });
-  }
   return log;
 }
 
@@ -148,76 +133,81 @@ void Log::DrainAppendsLocked() {
   });
 }
 
+void Log::QuiesceLocked() {
+  // Both conditions must hold at once with append_mu_ held; each wait
+  // releases the mutex, so loop until neither had to wait.
+  while (true) {
+    DrainAppendsLocked();
+    if (!syncing_) return;
+    durable_cv_.Wait([this]() REQUIRES(append_mu_) { return !syncing_; });
+  }
+}
+
 Status Log::SyncDirtySegments() const {
-  // Chaos surface (DESIGN.md §7): a failing or stalling fsync. Group-commit
-  // windows fold the injected error into sync_failed_upto_; every-batch
-  // callers see it inline — both must keep the ack contract honest.
+  // Chaos surface (DESIGN.md §7): a failing or stalling fsync. The round's
+  // leader gets the injected error, and so does every waiter it covered —
+  // the ack contract must stay honest.
   LIQUID_FAULT_POINT("log.sync.before");
-  ReaderMutexLock lock(&mu_);
-  for (const auto& segment : segments_) {
-    if (!segment->dirty()) continue;
-    // liquid-lint: allow(snapshot-then-call): fsync deliberately runs under the shared log lock: it must exclude truncation/compaction (which drop segments) but not readers; appenders queue behind at most one sync window at the exclusive-lock gate (DESIGN.md section 6c).
-    // liquid-lint: allow(hot-block): reachable from AppendBatch only under sync_mode=every_batch, whose contract IS one blocking fsync per batch (the durability baseline; DESIGN.md section 6c).
-    LIQUID_RETURN_NOT_OK(segment->Flush());
+  // Each segment's size at listing time bounds what its fsync may claim;
+  // bytes appended during the fsync belong to the next round.
+  std::vector<std::pair<LogSegment*, uint64_t>> dirty;
+  {
+    ReaderMutexLock lock(&mu_);
+    for (const auto& segment : segments_) {
+      // liquid-lint: allow(hot-alloc): one entry per dirty segment (usually just the active one) per sync round, not per record.
+      if (segment->dirty()) dirty.emplace_back(segment.get(), segment->size_bytes());
+    }
+  }
+  for (const auto& [segment, size] : dirty) {
+    // liquid-lint: allow(hot-block): reachable only from AwaitDurable under sync_mode=every_batch, whose contract IS one blocking fsync per sync round; no log lock is held (DESIGN.md section 6c).
+    LIQUID_RETURN_NOT_OK(segment->Flush(size));
   }
   return Status::OK();
 }
 
-void Log::CommitterLoop() {
-  while (true) {
-    int64_t target = 0;
-    bool stopping = false;
-    {
-      MutexLock lock(&append_mu_);
-      committer_cv_.Wait([this]() REQUIRES(append_mu_) {
-        // A failed window is not retried until new batches commit past it
-        // (retrying an fsync that just failed in a tight loop helps nobody);
-        // its waiters were already failed via sync_failed_upto_.
-        return committer_stop_ ||
-               (committed_offset_ > durable_offset_ &&
-                committed_offset_ > sync_failed_upto_);
-      });
-      stopping = committer_stop_;
-      if (committed_offset_ <= durable_offset_) {
-        if (stopping) return;
-        continue;  // Woken after a failed window with nothing new to sync.
-      }
-      target = committed_offset_;
-    }
-    // One fsync covers every batch committed during the previous window
-    // (snapshot-then-call: no append_mu_ held across the sync).
-    const Status st = SyncDirtySegments();
-    {
-      MutexLock lock(&append_mu_);
-      if (st.ok()) {
-        if (durable_offset_ < target) durable_offset_ = target;
-        if (sync_failed_upto_ <= target) {
-          sync_failed_upto_ = 0;
-          last_sync_error_ = Status::OK();
-        }
-        group_commit_syncs_->Increment();
-      } else {
-        if (sync_failed_upto_ < target) sync_failed_upto_ = target;
-        last_sync_error_ = st;
-      }
-      durable_cv_.SignalAll();
-      if (stopping) return;
-    }
-  }
-}
-
 Status Log::AwaitDurable(int64_t end_offset) {
-  MutexLock lock(&append_mu_);
-  // liquid-lint: allow(hot-block): the durability wait IS the product semantic of acks=all under sync_mode=group — the caller asked to block until its offsets are fsynced, bounded by one committer sync window (DESIGN.md section 6c).
-  durable_cv_.Wait([this, end_offset]() REQUIRES(append_mu_) {
-    return durable_offset_ >= end_offset || sync_failed_upto_ >= end_offset ||
-           committer_stop_;
-  });
-  if (durable_offset_ >= end_offset) return Status::OK();
-  if (sync_failed_upto_ >= end_offset && !last_sync_error_.ok()) {
-    return last_sync_error_;
+  if (config_.sync_mode != SyncMode::kEveryBatch) {
+    return Status::FailedPrecondition("sync_mode=none never fsyncs");
   }
-  return Status::Aborted("log closing before the batch became durable");
+  group_commit_batches_->Increment();
+  int64_t target = 0;
+  {
+    MutexLock lock(&append_mu_);
+    while (true) {
+      if (durable_offset_ >= end_offset) return Status::OK();
+      // A truncation removed offsets we wait for: they can never become
+      // durable, and waiting would hang (no thread syncs on its own).
+      if (committed_offset_ < end_offset) {
+        return Status::Aborted("log truncated below the awaited offset");
+      }
+      if (!syncing_) break;
+      // liquid-lint: allow(hot-block): the durability wait IS the product semantic of every_batch acks — bounded by the in-flight sync round, whose leader holds no log lock (DESIGN.md section 6c).
+      durable_cv_.Wait([this]() REQUIRES(append_mu_) { return !syncing_; });
+      // The last round failed and covered us: its error is our ack.
+      if (durable_offset_ < end_offset && sync_failed_upto_ >= end_offset) {
+        return last_sync_error_;
+      }
+    }
+    // Lead a round covering everything committed so far, this caller's
+    // offsets included. No truncation can interleave: it waits for
+    // syncing_ to clear (QuiesceLocked).
+    syncing_ = true;
+    target = committed_offset_;
+  }
+  const Status st = SyncDirtySegments();
+  MutexLock lock(&append_mu_);
+  syncing_ = false;
+  if (st.ok()) {
+    durable_offset_ = std::max(durable_offset_, target);
+    sync_failed_upto_ = 0;
+    last_sync_error_ = Status::OK();
+    group_commit_syncs_->Increment();
+  } else {
+    sync_failed_upto_ = target;
+    last_sync_error_ = st;
+  }
+  durable_cv_.SignalAll();
+  return st;
 }
 
 int64_t Log::durable_offset() const {
@@ -225,8 +215,7 @@ int64_t Log::durable_offset() const {
   return durable_offset_;
 }
 
-Result<EncodedBatch> Log::AppendBatch(std::vector<Record>* records,
-                                      const AppendOptions& options) {
+Result<EncodedBatch> Log::AppendBatch(std::vector<Record>* records) {
   if (records->empty()) return Status::InvalidArgument("empty append");
   // Chaos surface: reject/delay the append before any offset is reserved.
   LIQUID_FAULT_POINT("log.append.before");
@@ -270,38 +259,12 @@ Result<EncodedBatch> Log::AppendBatch(std::vector<Record>* records,
   // Phase 5: commit and wake successors. Committed advances even on a write
   // error — otherwise every queued appender behind us would deadlock; the
   // failed range simply becomes an offset gap (gaps are legal in this log).
-  const int64_t end = base + static_cast<int64_t>(records->size());
   {
     MutexLock lock(&append_mu_);
-    committed_offset_ = end;
+    committed_offset_ = base + static_cast<int64_t>(records->size());
     append_cv_.SignalAll();
-    if (config_.sync_mode == SyncMode::kGroup && write_status.ok()) {
-      group_commit_batches_->Increment();
-      committer_cv_.Signal();
-    }
   }
   LIQUID_RETURN_NOT_OK(write_status);
-
-  // Phase 6 (durability): every_batch pays one inline fsync per call — the
-  // baseline group commit is measured against; group mode blocks only the
-  // callers that asked for a durable acknowledgment, on the shared
-  // committer's next window.
-  switch (config_.sync_mode) {
-    case SyncMode::kNone:
-      break;
-    case SyncMode::kEveryBatch: {
-      LIQUID_RETURN_NOT_OK(SyncDirtySegments());
-      MutexLock lock(&append_mu_);
-      if (durable_offset_ < end) durable_offset_ = end;
-      durable_cv_.SignalAll();
-      break;
-    }
-    case SyncMode::kGroup:
-      if (options.await_durability) {
-        LIQUID_RETURN_NOT_OK(AwaitDurable(end));
-      }
-      break;
-  }
   return batch;
 }
 
@@ -320,17 +283,6 @@ Status Log::AppendEncoded(const EncodedBatch& batch) {
   }
   reserved_offset_ = end;
   committed_offset_ = end;
-  if (config_.sync_mode == SyncMode::kEveryBatch) {
-    // Follower durability mirrors the leader's ack contract: the replica
-    // fetch that lands these bytes advances the follower's LEO, which the
-    // leader counts toward an acks=all acknowledgment — so under every-batch
-    // sync they must hit stable storage here, or a power-cycle of the full
-    // ISR loses acked records when a once-follower wins the next election.
-    LIQUID_RETURN_NOT_OK(SyncDirtySegments());
-    if (durable_offset_ < end) durable_offset_ = end;
-    durable_cv_.SignalAll();
-  }
-  if (config_.sync_mode == SyncMode::kGroup) committer_cv_.Signal();
   return Status::OK();
 }
 
@@ -403,11 +355,13 @@ int Log::segment_count() const {
 
 Status Log::Truncate(int64_t offset) {
   MutexLock pipeline_lock(&append_mu_);
-  DrainAppendsLocked();
+  QuiesceLocked();
   WriterMutexLock lock(&mu_);
   const auto resync = [this]() REQUIRES(append_mu_, mu_) {
     reserved_offset_ = next_offset_;
     committed_offset_ = next_offset_;
+    durable_offset_ = std::min(durable_offset_, next_offset_);
+    sync_failed_upto_ = std::min(sync_failed_upto_, next_offset_);
   };
   if (offset >= next_offset_) return Status::OK();
   if (offset <= start_offset_) {
@@ -427,6 +381,7 @@ Status Log::Truncate(int64_t offset) {
   }
   // Partially truncate the now-last segment by rewriting its survivors: the
   // frames below `offset`, byte for byte.
+  LogSegment* rewritten = nullptr;
   if (!segments_.empty() && segments_.back()->next_offset() > offset) {
     LogSegment* last = segments_.back().get();
     LIQUID_ASSIGN_OR_RETURN(EncodedBatch survivors, ReadWholeSegment(*last));
@@ -438,6 +393,7 @@ Status Log::Truncate(int64_t offset) {
     auto segment = LogSegment::Open(disk_, cache_, name_prefix_, base, seg_config);
     if (!segment.ok()) return segment.status();
     LIQUID_RETURN_NOT_OK((*segment)->AppendEncoded(survivors));
+    rewritten = segment->get();
     segments_.push_back(std::move(segment).value());
   }
   if (segments_.empty()) {
@@ -448,12 +404,20 @@ Status Log::Truncate(int64_t offset) {
   }
   next_offset_ = offset;
   resync();
+  if (rewritten != nullptr && config_.sync_mode == SyncMode::kEveryBatch) {
+    // The rewrite replaced fsynced bytes with unsynced copies: sync them
+    // now, or a crash would lose records that were acknowledged durable.
+    if (Status st = rewritten->Flush(rewritten->size_bytes()); !st.ok()) {
+      durable_offset_ = std::min(durable_offset_, rewritten->base_offset());
+      return st;
+    }
+  }
   return Status::OK();
 }
 
 Result<int> Log::ApplyRetention() {
   MutexLock pipeline_lock(&append_mu_);
-  DrainAppendsLocked();
+  QuiesceLocked();
   WriterMutexLock lock(&mu_);
   const int64_t now = clock_->NowMs();
   int deleted = 0;
@@ -481,7 +445,7 @@ Result<int> Log::ApplyRetention() {
 
 Result<CompactionStats> Log::Compact() {
   MutexLock pipeline_lock(&append_mu_);
-  DrainAppendsLocked();
+  QuiesceLocked();
   WriterMutexLock lock(&mu_);
   CompactionStats stats;
   if (!config_.compaction_enabled || segments_.size() < 2) return stats;

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/clock.h"
@@ -26,14 +25,10 @@ enum class SyncMode {
   /// OS decide). Fastest, and the pre-sync_mode behaviour — a crash loses
   /// the unflushed tail. This is Kafka's production default.
   kNone,
-  /// fsync inline on every append call — the durability baseline the group
-  /// mode is measured against (Kafka's flush.messages=1).
+  /// Every acknowledgment waits for an fsync covering its offsets (Kafka's
+  /// flush.messages=1). Appends only write; Log::AwaitDurable runs the
+  /// fsync inline, and concurrent waiters share one (group commit).
   kEveryBatch,
-  /// Group commit: a per-log committer thread issues one fsync covering all
-  /// batches committed during the previous sync window; appenders that
-  /// request durability block until their offsets are covered instead of
-  /// paying one fsync per batch.
-  kGroup,
 };
 
 /// Per-log (i.e. per topic-partition) configuration, mirroring Kafka's
@@ -55,16 +50,6 @@ struct LogConfig {
   bool compaction_drops_tombstones = false;
   /// Durability of the append path; see SyncMode.
   SyncMode sync_mode = SyncMode::kNone;
-};
-
-/// Per-append knobs for Log::AppendBatch.
-struct AppendOptions {
-  /// Block until the appended offsets are fsynced (only meaningful under
-  /// SyncMode::kGroup, where it maps AckMode::kAll onto the group commit;
-  /// kEveryBatch syncs inline regardless and kNone never syncs). A non-OK
-  /// return then means the batch was NOT acknowledged durable — it may or
-  /// may not survive a crash.
-  bool await_durability = false;
 };
 
 /// Outcome of one compaction pass, reported for the E4 bench.
@@ -99,44 +84,33 @@ class Log {
   Log(const Log&) = delete;
   Log& operator=(const Log&) = delete;
 
-  /// Stops and joins the group-commit committer thread, syncing any batches
-  /// still in flight (best effort; errors are dropped — a closing log has no
-  /// one left to acknowledge to).
-  ~Log();
-
   /// Appends records in place, assigning consecutive offsets (and the current
   /// time to records whose timestamp is 0) so the caller sees the assignment,
   /// and returns their one-time wire encoding as a shared immutable buffer
   /// (the encode-once hot path: the caller forwards the same bytes to
-  /// followers without re-encoding).
+  /// followers without re-encoding). Never fsyncs: see AwaitDurable.
   LIQUID_HOT_PATH
-  Result<EncodedBatch> AppendBatch(std::vector<Record>* records) {
-    return AppendBatch(records, AppendOptions{});
-  }
+  Result<EncodedBatch> AppendBatch(std::vector<Record>* records);
 
-  /// AppendBatch with per-call durability control; see AppendOptions.
-  LIQUID_HOT_PATH
-  Result<EncodedBatch> AppendBatch(std::vector<Record>* records,
-                                   const AppendOptions& options);
-
-  /// All offsets below this have been fsynced (only advanced by kEveryBatch
-  /// and kGroup modes; stays 0 under kNone).
+  /// All offsets below this have been fsynced (only advanced under
+  /// kEveryBatch; stays 0 under kNone).
   int64_t durable_offset() const;
 
-  /// Blocks until offsets below `end_offset` are durable or the covering
-  /// group sync failed; returns that sync's error in the latter case (the
-  /// batch is then unacknowledged, not absent). Decoupled from AppendBatch
-  /// so callers like Broker::Produce can release their own per-partition
-  /// lock first — the whole point of group commit is that other producers
-  /// keep filling the sync window while this caller waits. Only meaningful
-  /// under SyncMode::kGroup (kNone never advances durability: the call
-  /// would block until the log closes).
+  /// Under kEveryBatch, blocks until offsets below `end_offset` are fsynced
+  /// (inline group commit, DESIGN.md §6c). The first waiter not yet covered
+  /// leads a sync round: it snapshots the committed end, fsyncs the dirty
+  /// segments with no log lock held, and publishes the result; waiters that
+  /// arrive meanwhile share the round (or lead the next one). A non-OK
+  /// return means the batch was NOT acknowledged durable — it may or may
+  /// not survive a crash: the covering fsync failed, or a truncation
+  /// removed offsets below `end_offset`. Callers release their own locks
+  /// first so that other appenders keep landing while this one syncs.
+  /// FailedPrecondition under kNone, which never fsyncs.
   Status AwaitDurable(int64_t end_offset) EXCLUDES(append_mu_);
 
   /// Appends a pre-encoded batch carrying offsets (encode-once replication
   /// path: the leader's bytes land on the follower's disk verbatim, keeping
-  /// its offsets and gaps). Under SyncMode::kEveryBatch the bytes are fsynced
-  /// before this returns.
+  /// its offsets and gaps). Never fsyncs: see AwaitDurable.
   Status AppendEncoded(const EncodedBatch& batch);
 
   /// Reads the encoded frames with offset in [offset, end_offset()), gathering
@@ -160,7 +134,8 @@ class Log {
   int segment_count() const;
 
   /// Deletes all records with offset >= offset (follower reconciliation after
-  /// leader change).
+  /// leader change). Under kEveryBatch the rewritten survivors are fsynced
+  /// before this returns, and durable_offset() drops to at most `offset`.
   Status Truncate(int64_t offset);
 
   /// Applies time/size retention using the injected clock; returns the number
@@ -187,13 +162,15 @@ class Log {
   /// in, then resync the pipeline counters to next_offset_ when done.
   void DrainAppendsLocked() REQUIRES(append_mu_);
 
-  /// Flushes every dirty segment under the shared log lock. Appends are
-  /// excluded (they commit under the exclusive lock) but reads proceed.
-  Status SyncDirtySegments() const EXCLUDES(mu_);
+  /// DrainAppendsLocked, then also waits out an in-flight sync round: for
+  /// truncation, retention and compaction, which drop segments the round
+  /// may be flushing.
+  void QuiesceLocked() REQUIRES(append_mu_);
 
-  /// Group-commit committer: waits for committed-but-not-durable batches,
-  /// syncs them with one fsync per window, publishes durable_offset_.
-  void CommitterLoop();
+  /// Flushes every segment dirty at call time. The shared log lock is held
+  /// only to list them, so appends and reads proceed during the fsyncs;
+  /// callers set syncing_ first so that no segment is dropped meanwhile.
+  Status SyncDirtySegments() const EXCLUDES(mu_);
 
   Disk* const disk_;
   PageCache* const cache_;
@@ -212,9 +189,8 @@ class Log {
   /// Guards the append pipeline's reservation window. Held only for counter
   /// updates (never across encoding or I/O), so reservation is cheap even
   /// under heavy producer concurrency. All group-commit bookkeeping lives
-  /// under this same mutex — the committer thread introduces no new lock
-  /// level (DESIGN.md §5a: it snapshots under append_mu_, fsyncs under the
-  /// shared mu_, republishes under append_mu_).
+  /// under this same mutex (DESIGN.md §5a: a sync round snapshots under
+  /// append_mu_, fsyncs with no lock held, republishes under append_mu_).
   mutable Mutex append_mu_;
   CondVar append_cv_{&append_mu_};
   /// Next offset to hand to a reserving appender.
@@ -222,23 +198,18 @@ class Log {
   /// All appends below this offset have committed (in reservation order).
   int64_t committed_offset_ GUARDED_BY(append_mu_) = 0;
 
-  /// Group-commit state (meaningful for kEveryBatch/kGroup). All offsets
-  /// below durable_offset_ are fsynced.
+  /// Group-commit state (kEveryBatch only). All offsets below
+  /// durable_offset_ are fsynced.
   int64_t durable_offset_ GUARDED_BY(append_mu_) = 0;
-  /// A failed group sync attempt covered offsets below sync_failed_upto_;
-  /// last_sync_error_ holds why. Waiters in that range fail their ack; the
-  /// committer retries once new batches commit past the failed window.
+  /// When the last sync round failed, the committed end it covered (else
+  /// 0); last_sync_error_ holds why. Waiters below it fail their ack; a
+  /// later waiter leads a fresh round.
   int64_t sync_failed_upto_ GUARDED_BY(append_mu_) = 0;
   Status last_sync_error_ GUARDED_BY(append_mu_);
-  bool committer_stop_ GUARDED_BY(append_mu_) = false;
-  /// Wakes the committer when committed_offset_ advances (kGroup only).
-  CondVar committer_cv_{&append_mu_};
-  /// Wakes AwaitDurable waiters when durable_offset_ / sync_failed_upto_
-  /// move.
+  /// A sync round is in flight (its leader fsyncs with no lock held).
+  bool syncing_ GUARDED_BY(append_mu_) = false;
+  /// Wakes waiters, and QuiesceLocked, when a sync round ends.
   CondVar durable_cv_{&append_mu_};
-  /// Started by Open when config.sync_mode == kGroup, joined by ~Log.
-  // liquid-lint: allow(guarded-by): written once in Open before the Log is published to any other thread and joined in the destructor after the stop handshake; never accessed concurrently.
-  std::thread committer_;
 
   /// Hot-path metric handles, resolved once at construction
   /// (OBSERVABILITY.md: hot paths never do registry name lookups).

@@ -124,18 +124,14 @@ Status LogSegment::AppendEncoded(const EncodedBatch& batch) {
   return Status::OK();
 }
 
-Status LogSegment::Flush() {
-  const uint64_t target = end_pos_;
+Status LogSegment::Flush(uint64_t size) {
   LIQUID_RETURN_NOT_OK(file_->Sync());
-  // Advance the watermark monotonically: concurrent every-batch flushes can
-  // complete out of order, and a lower racing target must not re-dirty the
-  // segment.
-  uint64_t prev = synced_pos_.load(std::memory_order_relaxed);
-  while (prev < target &&
-         // order: release pairs with dirty()'s acquire (see the header).
-         !synced_pos_.compare_exchange_weak(prev, target,
-                                            std::memory_order_release,
-                                            std::memory_order_relaxed)) {
+  // The owning Log runs one sync round at a time and excludes it from
+  // truncation, so flushes never race each other; the watermark only needs
+  // to stay monotonic against a stale `size`.
+  if (size > synced_pos_.load(std::memory_order_relaxed)) {
+    // order: release pairs with dirty()'s acquire (see the header).
+    synced_pos_.store(size, std::memory_order_release);
   }
   return Status::OK();
 }

@@ -68,14 +68,14 @@ class LogSegment {
   bool empty() const { return next_offset_ == base_offset_; }
   const std::string& file_name() const { return file_name_; }
 
-  /// fsyncs appended bytes and advances the durable watermark dirty() keys
-  /// off. Safe under the owning Log's shared lock: appends (which grow the
-  /// segment) hold the exclusive lock, and concurrent flushes race only on
-  /// the monotonic watermark.
-  Status Flush();
+  /// fsyncs the file and advances the durable watermark dirty() keys off to
+  /// `size`, a size_bytes() the caller read under the owning Log's lock.
+  /// Needs no lock: the file handle syncs safely beside an append, and
+  /// bytes appended after `size` stay dirty for the next flush.
+  Status Flush(uint64_t size);
 
-  /// True when bytes appended after the last successful Flush() exist; the
-  /// group committer uses this to sync only segments that need it.
+  /// True when bytes appended after the last successful Flush() exist; a
+  /// sync round uses this to sync only segments that need it.
   bool dirty() const {
     // order: acquire pairs with Flush()'s release so a caller that sees the
     // watermark also sees the bytes as synced in the backing file.
@@ -113,8 +113,8 @@ class LogSegment {
   int64_t base_offset_;
   Config config_;
   /// Bytes [0, synced_pos_) were covered by a successful Flush(). Atomic
-  /// because concurrent every-batch appenders flush under the shared log
-  /// lock; 0 after open (recovery does not know what the last process
+  /// because a sync round flushes with no log lock held while dirty() reads
+  /// under it; 0 after open (recovery does not know what the last process
   /// synced, so the first flush conservatively covers the whole file).
   std::atomic<uint64_t> synced_pos_{0};
 

@@ -1,7 +1,8 @@
 // TSan stress for the group-commit + page-cache machinery: concurrent
-// appenders (some awaiting durability) race the committer thread's fsync
-// window, readers copying out of cache pages, and cache eviction forced
-// by a small capacity. Run under -fsanitize=thread by scripts/check.sh; the
+// appenders race each other as sync-round leaders (most batches await
+// durability, so leaders fsync while other appenders write and wait),
+// alongside readers copying out of cache pages, cache eviction forced by a
+// small capacity, and retention deleting segments. Run under -fsanitize=thread by scripts/check.sh; the
 // assertions here are secondary to the data-race detection.
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "common/metrics.h"
 #include "storage/disk.h"
 #include "storage/log.h"
 #include "storage/page_cache.h"
@@ -23,7 +25,7 @@
 namespace liquid::storage {
 namespace {
 
-TEST(LogGroupCommitStressTest, AppendersRaceCommitterAndPinnedReaders) {
+TEST(LogGroupCommitStressTest, AppendersRaceAsSyncLeadersAndReaders) {
   MemDisk disk;
   SimulatedClock clock(1000);
   // Small pages and capacity so eviction and copy-on-extend fire constantly
@@ -36,10 +38,17 @@ TEST(LogGroupCommitStressTest, AppendersRaceCommitterAndPinnedReaders) {
 
   LogConfig config;
   config.segment_bytes = 32 << 10;  // Roll segments mid-run too.
-  config.sync_mode = SyncMode::kGroup;
+  // Retention drops old segments mid-run, so it must wait out the sync
+  // round that may be flushing them.
+  config.retention_bytes = 96 << 10;
+  config.sync_mode = SyncMode::kEveryBatch;
   auto opened = Log::Open(&disk, &cache, "stress/", config, &clock);
   LIQUID_ASSERT_OK(opened.status());
   std::unique_ptr<Log> log = std::move(opened).value();
+
+  Counter* syncs = MetricsRegistry::Default()->GetCounter(
+      "liquid.log.stress.group_commit_syncs");
+  const int64_t syncs_before = syncs->value();
 
   constexpr int kAppenders = 4;
   constexpr int kReaders = 2;
@@ -57,12 +66,13 @@ TEST(LogGroupCommitStressTest, AppendersRaceCommitterAndPinnedReaders) {
               "k" + std::to_string(t) + "-" + std::to_string(i),
               std::string(64, 'v')));
         }
-        AppendOptions options;
-        options.await_durability = (i % 2) == 0;  // Half block on the group.
-        auto result = log->AppendBatch(&batch, options);
+        auto result = log->AppendBatch(&batch);
         ASSERT_TRUE(result.ok()) << result.status().ToString();
-        if (options.await_durability) {
+        // Three in four batches are acknowledged: their waits race to lead
+        // sync rounds; the rest ride along in a later round.
+        if (i % 4 != 3) {
           const int64_t end = batch.back().offset + 1;
+          LIQUID_ASSERT_OK(log->AwaitDurable(end));
           int64_t seen = awaited_max_end.load();
           while (end > seen &&
                  !awaited_max_end.compare_exchange_weak(seen, end)) {
@@ -93,6 +103,13 @@ TEST(LogGroupCommitStressTest, AppendersRaceCommitterAndPinnedReaders) {
     });
   }
 
+  threads.emplace_back([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      ASSERT_TRUE(log->ApplyRetention().ok());
+      std::this_thread::yield();
+    }
+  });
+
   for (int t = 0; t < kAppenders; ++t) threads[t].join();
   stop.store(true, std::memory_order_release);
   for (size_t t = kAppenders; t < threads.size(); ++t) threads[t].join();
@@ -101,6 +118,9 @@ TEST(LogGroupCommitStressTest, AppendersRaceCommitterAndPinnedReaders) {
   EXPECT_EQ(log->end_offset(), total);
   EXPECT_GE(log->durable_offset(), awaited_max_end.load());
   EXPECT_GE(disk.sync_ops(), 1);
+  // Coalescing can only reduce rounds: never more than one per wait.
+  EXPECT_LE(syncs->value() - syncs_before,
+            kAppenders * kBatchesPerAppender * 3 / 4);
 }
 
 }  // namespace
